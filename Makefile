@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check test test-stress race bench bench-json bench-smoke fuzz-smoke metrics-smoke trace-smoke diag-smoke serve serve-wal serve-metrics example clean
+.PHONY: build vet fmt-check test test-stress race bench bench-json bench-smoke fuzz-smoke metrics-smoke trace-smoke diag-smoke serve serve-metrics example clean
 
 build:
 	$(GO) build ./...
@@ -91,14 +91,11 @@ fuzz-smoke:
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 30s -fuzzminimizetime 10x
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzBinaryProtocol$$' -fuzztime 20s -fuzzminimizetime 10x
 
-# Run the evaluation service with restart-safe session snapshots.
+# Run the evaluation service with the durable write-ahead label journal
+# (fsync always by default): kill -9 safe, acknowledged labels survive
+# crashes and restarts.
 serve:
-	$(GO) run ./cmd/oasis-server -addr :8080 -snapshot oasis-state.json
-
-# Run the evaluation service with the durable write-ahead label journal:
-# kill -9 safe, acknowledged labels survive crashes.
-serve-wal:
-	$(GO) run ./cmd/oasis-server -addr :8080 -wal oasis-wal -fsync always -compact-every 10m
+	$(GO) run ./cmd/oasis-server -addr :8080 -wal oasis-wal -compact-every 10m
 
 # Run the evaluation service with the WAL plus per-request access logging —
 # scrape http://localhost:8080/metrics (always on; this target just adds
@@ -111,4 +108,4 @@ example:
 	$(GO) run ./examples/serverclient
 
 clean:
-	rm -rf oasis-state.json bench-json.out oasis-wal
+	rm -rf bench-json.out oasis-wal

@@ -12,7 +12,6 @@
 //	             [-max-inflight N] [-max-queue N] [-queue-timeout 250ms]
 //	             [-pools-dir dir] [-pool-gc 10m] [-pool-mem-budget bytes]
 //	             [-wal dir] [-fsync always|off|100ms] [-compact-every 10m]
-//	             [-snapshot state.json] [-snapshot-interval 1m]
 //	             [-pprof addr] [-access-log] [-slow-request 1s]
 //	             [-trace-sample 0.01] [-diag-series N]
 //	             [-diag-ess-degraded f] [-diag-ess-degenerate f]
@@ -23,9 +22,8 @@
 // immutable fsync'd files named by their content hash, any number of
 // sessions reference one shared in-memory copy by poolId, and WAL create
 // records/snapshots persist only the hash. Unset, the store is memory-only —
-// except with -wal (defaults to <wal>/pools) or -snapshot (defaults to
-// <snapshot>.pools), so recovery can always resolve the pool references its
-// durable state carries. -pool-gc sweeps the
+// except with -wal, where it defaults to <wal>/pools so recovery can always
+// resolve the pool references the journal carries. -pool-gc sweeps the
 // in-memory columns of pools no session has referenced for one interval
 // (the durable files stay; the next use reloads them). -pool-mem-budget
 // additionally caps the store's resident pool memory (heap columns, mmap'd
@@ -42,21 +40,22 @@
 // so requests for sessions in different shards never contend on one lock.
 // With -wal, each shard journals to its own WAL lane, so commit fsyncs in
 // different shards overlap too. A WAL directory's lane count is fixed when
-// it is first created: an explicit -shards must match it on reopen (legacy
-// pre-lane directories are upgraded in place to the chosen count).
+// it is first created: an explicit -shards must match it on reopen.
 //
-// Durability comes in two exclusive modes:
-//
-//   - -wal enables the write-ahead label journal (internal/wal): every
-//     session lifecycle event is appended — and, per -fsync, synced — before
-//     it is acknowledged, and startup replays snapshot+tail so even a
-//     kill -9 loses no acknowledged label. -compact-every folds cold
-//     segments into a snapshot on an interval.
-//
-//   - -snapshot restores every session from the file at startup (if it
-//     exists) and writes all sessions back on graceful shutdown
-//     (SIGINT/SIGTERM). -snapshot-interval additionally saves atomically on
-//     an interval, so a crash loses at most one interval of labels.
+// The server runs in one of two modes. Without -wal, sessions live in
+// memory only and are gone when the process exits. With -wal, the
+// write-ahead label journal (internal/wal) is the one durability path:
+// every session lifecycle event is appended — and, per -fsync, synced —
+// before it is acknowledged, and startup replays snapshot+tail so even a
+// kill -9 loses no acknowledged label. -compact-every folds cold segments
+// into a snapshot on an interval. A graceful restart (SIGINT/SIGTERM)
+// recovers the same way as a crash: every session comes back bit for bit,
+// and leases that were in flight are released, so their workers get
+// "expired" and propose again (the estimator stays unbiased; see
+// oasis.Sampler.Release). -fsync off is the lightweight setting: it skips
+// the fsyncs but still survives kill -9. A journal directory written in the
+// pre-lane v1 format is refused at boot; booting a build from commit 3d6227e
+// or earlier on it once upgrades it in place.
 //
 // The hot propose/labels/estimate round trip also speaks a compact binary
 // protocol negotiated per request (Accept / Content-Type:
@@ -112,7 +111,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -156,12 +154,10 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address")
 		lease        = flag.Duration("lease", session.DefaultLeaseTTL, "default proposal lease TTL")
 		shards       = flag.Int("shards", 0, "session-manager shard count, rounded up to a power of two (0 = derive from GOMAXPROCS); with -wal, must match the directory's lane count once created")
-		snapshot     = flag.String("snapshot", "", "snapshot file: restored at startup, saved at shutdown (exclusive with -wal)")
-		snapInterval = flag.Duration("snapshot-interval", 0, "with -snapshot: also save atomically every interval (0 = only at graceful shutdown)")
-		walDir       = flag.String("wal", "", "write-ahead-log directory: replayed at startup, appended before every acknowledgement (exclusive with -snapshot)")
+		walDir       = flag.String("wal", "", "write-ahead-log directory: replayed at startup, appended before every acknowledgement (empty = sessions live in memory only)")
 		fsync        = flag.String("fsync", "always", `WAL fsync policy: "always", "off", or a sync interval like 100ms`)
 		compactEvery = flag.Duration("compact-every", 0, "with -wal: fold cold WAL segments into a snapshot every interval (0 = never)")
-		poolsDir     = flag.String("pools-dir", "", "directory for the durable content-addressed pool store (empty = in-memory; defaults to <wal>/pools with -wal, <snapshot>.pools with -snapshot)")
+		poolsDir     = flag.String("pools-dir", "", "directory for the durable content-addressed pool store (empty = in-memory; defaults to <wal>/pools with -wal)")
 		poolGC       = flag.Duration("pool-gc", 0, "evict the in-memory copy of pools unreferenced for this long, checked on the same interval (0 = never)")
 		poolMemBud   = flag.Int64("pool-mem-budget", 0, "resident pool memory budget in bytes: evict least-recently-used unreferenced pools (columns, mappings, cached strata) when over it (0 = unlimited)")
 		maxBody      = flag.Int64("max-body", server.DefaultMaxBodyBytes, "maximum HTTP request body size in bytes (413 beyond it)")
@@ -188,12 +184,6 @@ func main() {
 		fmt.Printf("oasis-server %s %s %s/%s\n", buildVersion(), runtime.Version(), runtime.GOOS, runtime.GOARCH)
 		return
 	}
-	if *walDir != "" && *snapshot != "" {
-		log.Fatalf("-wal and -snapshot are exclusive durability modes; pick one")
-	}
-	if *snapInterval > 0 && *snapshot == "" {
-		log.Fatalf("-snapshot-interval requires -snapshot")
-	}
 	if *compactEvery > 0 && *walDir == "" {
 		log.Fatalf("-compact-every requires -wal")
 	}
@@ -207,32 +197,30 @@ func main() {
 		}()
 	}
 
+	// Inspect the journal directory before anything is created: a v1
+	// directory is refused untouched, and an unset -shards prefers an
+	// existing journal's recorded lane count (the lane count is fixed per
+	// directory, and GOMAXPROCS may have changed since it was created) over
+	// one derived from the hardware.
 	nShards := *shards
-	if nShards <= 0 {
-		// Unset: prefer an existing journal's recorded lane count (the lane
-		// count is fixed per directory, and GOMAXPROCS may have changed since
-		// it was created); otherwise derive from the hardware.
-		nShards = session.DefaultShards()
-		if *walDir != "" {
-			lanes, err := wal.DirLanes(*walDir)
-			if err != nil {
-				log.Fatalf("read wal meta: %v", err)
-			}
-			if lanes > 0 {
-				nShards = lanes
-			}
+	if *walDir != "" {
+		lanes, err := wal.DirLanes(*walDir)
+		if err != nil {
+			log.Fatalf("open wal: %v", err)
+		}
+		if nShards <= 0 {
+			nShards = lanes
 		}
 	}
+	if nShards <= 0 {
+		nShards = session.DefaultShards()
+	}
 	// The pool store opens before the manager and the WAL: replayed create
-	// records resolve their pool references through it. With a durability
-	// mode but no explicit -pools-dir, pools persist next to the journal or
-	// snapshot — durable state that outlives its pools could never be
-	// restored.
+	// records resolve their pool references through it. With -wal but no
+	// explicit -pools-dir, pools persist next to the journal — a journal that
+	// outlives its pools could never be replayed.
 	if *poolsDir == "" && *walDir != "" {
 		*poolsDir = filepath.Join(*walDir, "pools")
-	}
-	if *poolsDir == "" && *snapshot != "" {
-		*poolsDir = *snapshot + ".pools"
 	}
 	pools, err := poolstore.Open(*poolsDir)
 	if err != nil {
@@ -251,7 +239,7 @@ func main() {
 		if !pools.Durable() {
 			// A memory-only store holds the only copy of every pool, so
 			// nothing can ever be evicted from it.
-			log.Fatalf("-pool-mem-budget requires a durable pool store (set -pools-dir, -wal or -snapshot)")
+			log.Fatalf("-pool-mem-budget requires a durable pool store (set -pools-dir or -wal)")
 		}
 		pools.SetMemBudget(*poolMemBud)
 		log.Printf("pool store: resident memory budget %d bytes (LRU eviction of unreferenced pools)", *poolMemBud)
@@ -274,8 +262,7 @@ func main() {
 	})
 	log.Printf("session manager sharded %d way(s)", mgr.Shards())
 	var journal *wal.Journal
-	switch {
-	case *walDir != "":
+	if *walDir != "" {
 		j, err := wal.Open(*walDir, mgr, wal.Options{Fsync: *fsync, Metrics: wal.NewMetrics(reg)})
 		if err != nil {
 			log.Fatalf("open wal: %v", err)
@@ -284,28 +271,13 @@ func main() {
 		st := j.Stats()
 		log.Printf("wal %s: recovered %d session(s) across %d lane(s) — snapshot=%v, %d event(s) replayed, %d skipped, %d torn byte(s) dropped (fsync %s)",
 			*walDir, mgr.Len(), st.LaneCount, st.ReplaySnapshot, st.ReplayApplied, st.ReplaySkipped, st.ReplayTornBytes, *fsync)
-	case *snapshot != "":
-		data, err := os.ReadFile(*snapshot)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-			log.Printf("snapshot %s not found, starting empty", *snapshot)
-		case err != nil:
-			log.Fatalf("read snapshot: %v", err)
-		default:
-			if err := mgr.Restore(data); err != nil {
-				log.Fatalf("restore snapshot: %v", err)
-			}
-			log.Printf("restored %d session(s) from %s", mgr.Len(), *snapshot)
-		}
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	// Background maintenance tickers. They are joined (tickers is waited on)
-	// after Serve returns, so a periodic snapshot can never race the final
-	// shutdown save and clobber it with stale state, and no compaction runs
-	// against a closing journal.
+	// after Serve returns, so no compaction runs against a closing journal.
 	var tickers sync.WaitGroup
 	if journal != nil && *compactEvery > 0 {
 		tickers.Add(1)
@@ -340,24 +312,6 @@ func main() {
 				case <-t.C:
 					if n := pools.Sweep(*poolGC); n > 0 {
 						log.Printf("pool store: evicted %d idle pool(s) from memory", n)
-					}
-				}
-			}
-		}()
-	}
-	if *snapInterval > 0 {
-		tickers.Add(1)
-		go func() {
-			defer tickers.Done()
-			t := time.NewTicker(*snapInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					if err := saveSnapshot(mgr, *snapshot); err != nil {
-						log.Printf("periodic snapshot: %v", err)
 					}
 				}
 			}
@@ -402,14 +356,6 @@ func main() {
 	if *accessLog {
 		srv.SetAccessLog(log.Default(), *slowReq)
 	}
-	if *snapshot != "" {
-		// Persist a fresh snapshot before any pool delete: once it is on
-		// disk, no durable state references the pool about to go, so a crash
-		// can never strand a snapshot that names a deleted pool (which would
-		// make it unrestorable — snapshot mode has no journal tail to absolve
-		// the reference the way WAL replay does).
-		srv.SetPoolDeleteBarrier(func() error { return saveSnapshot(mgr, *snapshot) })
-	}
 	ready := make(chan string, 1)
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ctx, *addr, ready) }()
@@ -430,22 +376,5 @@ func main() {
 		}
 		log.Printf("wal synced and closed")
 	}
-	if *snapshot != "" {
-		if err := saveSnapshot(mgr, *snapshot); err != nil {
-			log.Fatalf("save snapshot: %v", err)
-		}
-		log.Printf("saved %d session(s) to %s", mgr.Len(), *snapshot)
-	}
 	log.Printf("bye")
-}
-
-// saveSnapshot writes the manager state atomically and durably: temp file in
-// the same directory, fsync, rename into place, fsync the directory; the
-// temp file is removed on failure.
-func saveSnapshot(mgr *session.Manager, path string) error {
-	data, err := mgr.Snapshot()
-	if err != nil {
-		return err
-	}
-	return wal.WriteFileAtomic(path, data, 0o644)
 }

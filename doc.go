@@ -38,8 +38,8 @@
 // they arrive, in any order — the estimator is unchanged because each
 // draw's importance weight is frozen at draw time. The service layer builds
 // on this: internal/session keeps many concurrent evaluations alive behind
-// a lease-based propose/commit protocol with JSON snapshot/restore, and
-// cmd/oasis-server exposes it over HTTP (see the repository README for the
+// a lease-based propose/commit protocol, and cmd/oasis-server exposes it
+// over HTTP, either in memory or durably behind the write-ahead log (see the repository README for the
 // API walkthrough and examples/serverclient for a runnable end-to-end
 // demo).
 //
@@ -51,7 +51,9 @@
 // segmented, CRC-checked write-ahead log before anything is acknowledged,
 // and recovery replays it through the same code paths to land bit-for-bit
 // on the pre-crash state: a kill-9'd oasis-server restarted with -wal
-// continues the exact proposal sequence (TestCrashRecoveryEndToEnd).
+// continues the exact proposal sequence (TestCrashRecoveryEndToEnd). The
+// WAL is the one durability path: a graceful restart recovers the same way,
+// releasing in-flight leases so their workers propose again.
 // Background compaction folds cold segments into a manager snapshot plus a
 // trimmed tail, and the -fsync policy (per-record / interval / off) sets
 // the durability/latency trade-off, measured by BenchmarkCommitDurable.
@@ -82,8 +84,9 @@
 // proposal sequences and estimates bit-for-bit identical across 1, 4 and 8
 // shards, including through crash recovery. The lane format is WAL record
 // version 2 (a shard tag and format version joined the record header, CRC
-// covering both); v1 single-stream journals are read-compatible and
-// upgraded in place on first open. BenchmarkManagerParallel and
+// covering both); v1 single-stream journals are refused untouched, and a
+// build from commit 3d6227e or earlier upgrades them in place.
+// BenchmarkManagerParallel and
 // BenchmarkServerProposeParallel track the multi-worker commit throughput
 // scaling with shard count.
 //

@@ -61,21 +61,16 @@ func BuildDedupPool(ds *dataset.DedupDataset, cfg Config) (*Result, error) {
 	feat := NewFeaturizer(ds.Schema, ds.Records)
 	reps := feat.Reps(ds.Records)
 
+	// Enumerate matching pairs in record order — pair each record with the
+	// earlier members of its entity — so the match list, and with it every
+	// draw the seeded RNG makes from it, is the same on every build.
 	byEntity := make(map[int][]int)
-	for i, rec := range ds.Records {
-		byEntity[rec.EntityID] = append(byEntity[rec.EntityID], i)
-	}
 	var allMatches []pairRef
-	for _, members := range byEntity {
-		for a := 0; a < len(members); a++ {
-			for b := a + 1; b < len(members); b++ {
-				i, j := members[a], members[b]
-				if i > j {
-					i, j = j, i
-				}
-				allMatches = append(allMatches, pairRef{i, j})
-			}
+	for j, rec := range ds.Records {
+		for _, i := range byEntity[rec.EntityID] {
+			allMatches = append(allMatches, pairRef{i, j})
 		}
+		byEntity[rec.EntityID] = append(byEntity[rec.EntityID], j)
 	}
 	isMatch := func(pr pairRef) bool {
 		return ds.Records[pr.i].EntityID == ds.Records[pr.j].EntityID

@@ -32,7 +32,7 @@ func poolColumns(n int, seed uint64) (scores []float64, preds []bool) {
 }
 
 // newPoolServer starts an httptest server with a pool store attached.
-func newPoolServer(t *testing.T) (*client, *Server, *poolstore.Store) {
+func newPoolServer(t *testing.T) (*client, *poolstore.Store) {
 	t.Helper()
 	store, err := poolstore.Open(t.TempDir())
 	if err != nil {
@@ -42,11 +42,11 @@ func newPoolServer(t *testing.T) (*client, *Server, *poolstore.Store) {
 	srv.SetPools(store)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return &client{t: t, base: ts.URL, http: ts.Client()}, srv, store
+	return &client{t: t, base: ts.URL, http: ts.Client()}, store
 }
 
 func TestPoolUploadAndSharedSessions(t *testing.T) {
-	c, _, store := newPoolServer(t)
+	c, store := newPoolServer(t)
 	scores, preds := poolColumns(1500, 7)
 
 	// Upload once.
@@ -117,7 +117,7 @@ func TestPoolUploadAndSharedSessions(t *testing.T) {
 }
 
 func TestPoolBinaryUpload(t *testing.T) {
-	c, _, _ := newPoolServer(t)
+	c, _ := newPoolServer(t)
 	scores, preds := poolColumns(900, 9)
 	encoded, err := poolstore.Encode(scores, preds)
 	if err != nil {
@@ -145,45 +145,6 @@ func TestPoolBinaryUpload(t *testing.T) {
 	defer resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("corrupt binary upload: status %d", resp2.StatusCode)
-	}
-}
-
-// TestPoolDeleteBarrier: with a barrier installed (snapshot mode), the
-// hook runs before the removal — and a failing barrier aborts the delete.
-func TestPoolDeleteBarrier(t *testing.T) {
-	c, srv, store := newPoolServer(t)
-	scores, preds := poolColumns(50, 11)
-	var up PoolResponse
-	if code := c.do("POST", "/v1/pools", PoolUploadRequest{Scores: scores, Preds: preds}, &up); code != http.StatusCreated {
-		t.Fatalf("upload: status %d", code)
-	}
-	barrierRan := 0
-	srv.SetPoolDeleteBarrier(func() error {
-		barrierRan++
-		if store.Refs(up.PoolID) != 0 {
-			t.Error("barrier must run while the pool still exists")
-		}
-		if _, err := store.Get(up.PoolID); err != nil {
-			t.Error("barrier ran after the pool was removed")
-		}
-		return nil
-	})
-	if code := c.do("DELETE", "/v1/pools/"+up.PoolID, nil, nil); code != http.StatusNoContent {
-		t.Fatalf("delete: status %d", code)
-	}
-	if barrierRan != 1 {
-		t.Fatalf("barrier ran %d times, want 1", barrierRan)
-	}
-	// A failing barrier aborts the delete.
-	if code := c.do("POST", "/v1/pools", PoolUploadRequest{Scores: scores, Preds: preds}, &up); code != http.StatusCreated {
-		t.Fatalf("re-upload: status %d", code)
-	}
-	srv.SetPoolDeleteBarrier(func() error { return fmt.Errorf("disk full") })
-	if code := c.do("DELETE", "/v1/pools/"+up.PoolID, nil, nil); code != http.StatusInternalServerError {
-		t.Fatalf("delete with failing barrier: status %d", code)
-	}
-	if _, err := store.Get(up.PoolID); err != nil {
-		t.Fatal("failing barrier did not abort the removal")
 	}
 }
 

@@ -82,11 +82,10 @@ const StatusClientClosedRequest = 499
 
 // Server is the HTTP front-end over a session.Manager.
 type Server struct {
-	mgr               *session.Manager
-	jrn               *wal.Journal
-	pools             *poolstore.Store
-	poolDeleteBarrier func() error
-	maxBody           int64
+	mgr     *session.Manager
+	jrn     *wal.Journal
+	pools   *poolstore.Store
+	maxBody int64
 
 	// Observability wiring (see metrics.go and tracing.go): the metrics
 	// registry behind GET /metrics, the structured access log with its
@@ -158,18 +157,6 @@ func (s *Server) SetMaxPropose(n int) {
 		s.maxPropose = n
 	}
 }
-
-// SetPoolDeleteBarrier installs a hook run before any pool is removed; a
-// hook error aborts the delete (500). Snapshot-mode servers use it to
-// persist a fresh snapshot first: once the barrier returns, no durable
-// state references the pool about to go, so a crash at any point can never
-// leave a snapshot that names a deleted pool. (WAL mode needs no barrier —
-// replay absolves create records for sessions the log later deletes.)
-func (s *Server) SetPoolDeleteBarrier(f func() error) { s.poolDeleteBarrier = f }
-
-// Manager returns the underlying session manager (e.g. for snapshotting at
-// shutdown).
-func (s *Server) Manager() *session.Manager { return s.mgr }
 
 // Handler builds the route table. The metrics registry and the access log
 // must be wired (EnableMetrics, SetAccessLog) before Handler is called:
@@ -757,12 +744,6 @@ func (s *Server) getPool(w http.ResponseWriter, r *http.Request) {
 func (s *Server) deletePool(w http.ResponseWriter, r *http.Request) {
 	if !s.poolsEnabled(w) {
 		return
-	}
-	if s.poolDeleteBarrier != nil {
-		if err := s.poolDeleteBarrier(); err != nil {
-			writeError(w, http.StatusInternalServerError, "pool delete barrier: %v", err)
-			return
-		}
 	}
 	switch err := s.pools.Remove(r.PathValue("id")); {
 	case err == nil:

@@ -439,7 +439,9 @@ func (m *Manager) Len() int {
 // Leases lists the pairs with a live lease; together with the proposer
 // states' pending draws this makes the snapshot exact — restored sessions
 // hold the same outstanding proposals (re-leased for a fresh TTL), so WAL
-// tail events replay against the snapshot bit-for-bit.
+// tail events replay against the snapshot bit-for-bit. The boot barrier
+// then releases whatever is still outstanding: every restart, graceful or
+// not, follows the lease-drop contract.
 type sessionSnapshot struct {
 	Config  Config              `json:"config"`
 	LastLSN uint64              `json:"lastLSN,omitempty"`
@@ -461,7 +463,7 @@ type snapshotFile struct {
 
 // snapshot captures one session, leases included (deadlines are not
 // persisted: a restore re-leases each outstanding pair for one fresh TTL,
-// and the WAL boot barrier releases them instead after a crash).
+// and the WAL boot barrier releases them once the tail has replayed).
 func (s *Session) snapshot() sessionSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -532,7 +534,8 @@ func (m *Manager) unlockAll() {
 // Restore registers every session in a Snapshot payload, resuming each
 // sampler exactly where it left off: estimates, posteriors, random streams
 // and outstanding proposals are bit-identical, with each leased pair
-// re-leased for one fresh TTL. Existing sessions with clashing IDs are an
+// re-leased for one fresh TTL (WAL recovery goes through RestoreReplay and
+// releases them at its boot barrier). Existing sessions with clashing IDs are an
 // error and abort the restore before any registration; any abort is
 // all-or-nothing — no session is registered and every pool-store reference
 // taken along the way is returned. Sessions land in the shard their ID

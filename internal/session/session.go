@@ -10,8 +10,9 @@
 // the Beta posteriors and the AIS estimate as they arrive, in any order.
 // Leases expire: a proposal whose label never arrives returns to the
 // proposable set after the session's lease TTL, so crashed or slow labellers
-// cannot strand pairs. Sessions snapshot to JSON and restore losslessly, so
-// a server restart does not lose purchased labels.
+// cannot strand pairs. Sessions snapshot to JSON and restore losslessly; the
+// write-ahead log (internal/wal) folds those snapshots and its event tail
+// together so a server restart does not lose purchased labels.
 //
 // A thread-safe Manager owns named sessions; the HTTP layer in
 // internal/server exposes it as a JSON API.

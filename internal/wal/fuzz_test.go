@@ -19,9 +19,8 @@ func fuzzMeta(tb testing.TB, dir string) {
 	}
 }
 
-// FuzzWALReplay throws arbitrary bytes at the replay path as segment files —
-// both as a legacy v1 single-stream segment and as lane 0 of a two-lane v2
-// journal: Open must never panic or over-allocate, whatever the framing,
+// FuzzWALReplay throws arbitrary bytes at the replay path as lane 0 of a
+// two-lane v2 journal: Open must never panic or over-allocate, whatever the framing,
 // shard tags, JSON or event semantics of the input — at worst it returns an
 // error. The seed corpus is a real little two-shard log (create / propose /
 // commit / release / restart records across two lanes) plus hand-built
@@ -105,42 +104,26 @@ func FuzzWALReplay(f *testing.F) {
 		})
 		defer timer.Stop()
 
-		// Variant 1: the bytes as a legacy v1 single-stream segment.
-		legacyDir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(legacyDir, legacySegmentName(1)), data, 0o644); err != nil {
+		// The bytes as lane 0 of a two-lane v2 journal (lane 1 present but
+		// empty, as after a crash at first boot).
+		dir := t.TempDir()
+		fuzzMeta(t, dir)
+		if err := os.WriteFile(filepath.Join(dir, segmentName(0, 1)), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		exercise(t, legacyDir, 1)
-
-		// Variant 2: the bytes as lane 0 of a two-lane v2 journal (lane 1
-		// present but empty, as after a crash at first boot).
-		laneDir := t.TempDir()
-		fuzzMeta(t, laneDir)
-		if err := os.WriteFile(filepath.Join(laneDir, segmentName(0, 1)), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, segmentName(1, 1)), nil, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(laneDir, segmentName(1, 1)), nil, 0o644); err != nil {
-			t.Fatal(err)
+		mgr := session.NewManager(session.ManagerOptions{Shards: 2})
+		j, err := Open(dir, mgr, Options{Fsync: "off"})
+		if err != nil {
+			return // rejected: fine, as long as it did not panic
 		}
-		exercise(t, laneDir, 2)
-	})
-}
-
-// exercise opens the journal and, if it recovers, checks the recovered
-// state is coherent and the journal still closes cleanly.
-func exercise(t *testing.T, dir string, shards int) {
-	t.Helper()
-	mgr := session.NewManager(session.ManagerOptions{Shards: shards})
-	j, err := Open(dir, mgr, Options{Fsync: "off"})
-	if err != nil {
-		return // rejected: fine, as long as it did not panic
-	}
-	if mgr.Len() > 0 {
 		for _, st := range mgr.List() {
 			if st.PendingProposals != 0 {
 				t.Fatalf("recovered session %q has pending proposals", st.ID)
 			}
 		}
-	}
-	j.Close()
+		j.Close()
+	})
 }

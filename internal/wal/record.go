@@ -29,13 +29,12 @@ import (
 // is rejected outright (never silently merged).
 //
 // Version 1 (the pre-shard format) had an 8-byte header — length + CRC of
-// the payload alone — and a single un-tagged segment stream. Old journals
-// remain read-compatible: Open detects them by file name and upgrades in
-// place (see the legacy path in recover).
+// the payload alone — and a single un-tagged segment stream. This package no
+// longer reads it; Open recognises v1 directories by file name and refuses
+// them (see ErrLegacyJournal).
 
 const (
-	recordHeaderSizeV1 = 8
-	recordHeaderSize   = 12
+	recordHeaderSize = 12
 	// recordVersion is the current record format version, bumped from the
 	// implicit v1 when lanes and shard tags were added to the header.
 	recordVersion = 2
@@ -120,45 +119,6 @@ func scanRecords(data []byte, lanes int, fn func(shard int, payload []byte) erro
 	}
 }
 
-// appendRecordV1 frames payload in the legacy v1 format (8-byte header, CRC
-// of the payload alone). The live writer no longer produces it; tests use it
-// to build old-format journals for the read-compatibility path.
-func appendRecordV1(buf, payload []byte) []byte {
-	var hdr [recordHeaderSizeV1]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	return append(append(buf, hdr[:]...), payload...)
-}
-
-// scanRecordsV1 walks legacy v1 framed records (see scanRecords for the
-// contract). Legacy records carry no shard tag; replay routes them by the
-// session ID in the payload.
-func scanRecordsV1(data []byte, fn func(payload []byte) error) (consumed int, torn bool, err error) {
-	off := 0
-	for {
-		rest := len(data) - off
-		if rest == 0 {
-			return off, false, nil
-		}
-		if rest < recordHeaderSizeV1 {
-			return off, true, nil
-		}
-		n := binary.LittleEndian.Uint32(data[off : off+4])
-		crc := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if n == 0 || n > maxRecordSize || int(n) > rest-recordHeaderSizeV1 {
-			return off, true, nil
-		}
-		payload := data[off+recordHeaderSizeV1 : off+recordHeaderSizeV1+int(n)]
-		if crc32.Checksum(payload, castagnoli) != crc {
-			return off, true, nil
-		}
-		if err := fn(payload); err != nil {
-			return off, false, err
-		}
-		off += recordHeaderSizeV1 + int(n)
-	}
-}
-
 // hasValidRecordAfter reports whether a complete, CRC-valid v2 record begins
 // at any byte offset past the start of data (offset 0 is the frame that
 // already failed). A crash-torn tail always extends to end of file — a
@@ -183,29 +143,13 @@ func hasValidRecordAfter(data []byte) bool {
 	return false
 }
 
-// hasValidRecordAfterV1 is hasValidRecordAfter for legacy v1 segments.
-func hasValidRecordAfterV1(data []byte) bool {
-	for off := 1; off+recordHeaderSizeV1 <= len(data); off++ {
-		n := binary.LittleEndian.Uint32(data[off : off+4])
-		if n == 0 || n > maxRecordSize || off+recordHeaderSizeV1+int(n) > len(data) {
-			continue
-		}
-		crc := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if crc32.Checksum(data[off+recordHeaderSizeV1:off+recordHeaderSizeV1+int(n)], castagnoli) == crc {
-			return true
-		}
-	}
-	return false
-}
-
 // File naming. Version 2 journals multiplex N lanes under one directory:
 // lane segments are wal-<3-digit lane>-<16-digit index>.log and per-lane
 // compaction snapshots snap-<3-digit lane>-<16-digit boundary>.json, where
 // the boundary is the first segment of that lane NOT folded into the
 // snapshot. wal-meta.json records the journal's format version and lane
-// count; it is the upgrade commit marker (see recover). Legacy v1 journals
-// named their single segment stream wal-<16-digit index>.log and snapshots
-// snap-<16-digit boundary>.json.
+// count. Legacy v1 journals named their single segment stream
+// wal-<16-digit index>.log and snapshots snap-<16-digit boundary>.json.
 const (
 	segmentPrefix  = "wal-"
 	segmentSuffix  = ".log"
@@ -222,25 +166,18 @@ func snapshotName(lane int, idx uint64) string {
 	return fmt.Sprintf("snap-%03d-%016d.json", lane, idx)
 }
 
-func legacySegmentName(idx uint64) string { return fmt.Sprintf("wal-%016d.log", idx) }
-
-func legacySnapshotName(idx uint64) string { return fmt.Sprintf("snap-%016d.json", idx) }
-
-// parseIndexed extracts the numeric index from a prefixed/suffixed legacy
-// file name, reporting whether the name matched.
-func parseIndexed(name, prefix, suffix string) (uint64, bool) {
+// isLegacyName reports whether name is a v1 file name: prefix, a bare
+// numeric index, suffix.
+func isLegacyName(name, prefix, suffix string) bool {
 	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
-		return 0, false
+		return false
 	}
 	mid := name[len(prefix) : len(name)-len(suffix)]
 	if strings.Contains(mid, "-") {
-		return 0, false // a lane-qualified v2 name, not a legacy one
+		return false // a lane-qualified v2 name, not a legacy one
 	}
-	idx, err := strconv.ParseUint(mid, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return idx, true
+	_, err := strconv.ParseUint(mid, 10, 64)
+	return err == nil
 }
 
 // parseLaneIndexed extracts (lane, index) from a v2 lane-qualified file
@@ -267,7 +204,7 @@ func parseLaneIndexed(name, prefix, suffix string) (lane int, idx uint64, ok boo
 
 // metaFile is the on-disk form of wal-meta.json: the journal's format
 // version and its fixed lane count. The lane count is chosen when the
-// journal is created (or upgraded from v1) and never changes — a session's
+// journal is created and never changes — a session's
 // records must all live in one lane for per-lane replay to preserve its
 // event order, so re-sharding an existing journal is refused at Open.
 type metaFile struct {
@@ -309,12 +246,11 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// WriteFileAtomic writes data to path through a temp file in the same
+// writeFileAtomic writes data to path through a temp file in the same
 // directory: write, fsync, rename into place, fsync the directory. The temp
 // file is removed on every failure path, so aborted writes leave no litter.
-// Used for WAL compaction snapshots and by cmd/oasis-server's -snapshot
-// persistence.
-func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
+// Used for the meta file and the compaction snapshots.
+func writeFileAtomic(path string, data []byte, perm os.FileMode) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {

@@ -5,13 +5,15 @@ package wal
 // recovery), cross-shard create/compact races must keep every acknowledged
 // session, hostile lane inputs — out-of-range shard tags, records in the
 // wrong lane, missing lanes, multi-lane torn tails — must be rejected or
-// truncated deterministically, legacy v1 journals must upgrade in place,
-// and a single-shard journal must stay payload-identical to the v1 format
-// (the version-bumped record header is the only difference).
+// truncated deterministically, and legacy v1 journals must be refused
+// without a byte of the directory changing.
 
 import (
-	"encoding/json"
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -467,8 +469,9 @@ func TestShardCountMismatchRejected(t *testing.T) {
 }
 
 // TestDirLanes pins the lane-count discovery oasis-server's default -shards
-// uses: an existing v2 directory reports its recorded lane count, while a
-// fresh or legacy directory reports 0 (caller's choice).
+// uses: an existing v2 directory reports its recorded lane count, a fresh or
+// missing directory reports 0 (caller's choice), and a legacy v1 directory
+// is refused with ErrLegacyJournal, as Open would refuse it.
 func TestDirLanes(t *testing.T) {
 	fresh := t.TempDir()
 	if n, err := DirLanes(fresh); err != nil || n != 0 {
@@ -481,363 +484,76 @@ func TestDirLanes(t *testing.T) {
 		t.Fatalf("4-lane dir: DirLanes = %d, %v; want 4, nil", n, err)
 	}
 	legacy := t.TempDir()
-	w := newLegacyWriter(t, legacy)
-	w.f.Close()
-	if n, err := DirLanes(legacy); err != nil || n != 0 {
-		t.Fatalf("legacy dir: DirLanes = %d, %v; want 0, nil", n, err)
+	if err := os.WriteFile(filepath.Join(legacy, "wal-0000000000000001.log"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := DirLanes(legacy); !errors.Is(err, ErrLegacyJournal) || n != 0 {
+		t.Fatalf("legacy dir: DirLanes = %d, %v; want 0, ErrLegacyJournal", n, err)
+	}
+	if n, err := DirLanes(filepath.Join(fresh, "missing")); err != nil || n != 0 {
+		t.Fatalf("missing dir: DirLanes = %d, %v; want 0, nil", n, err)
 	}
 }
 
-// legacyWriter journals events in the v1 on-disk format — one un-tagged
-// segment stream with 8-byte record headers and a global LSN sequence —
-// exactly as the pre-lane binary wrote them. Tests use it to produce real
-// old-format directories for the read-compatibility path.
-type legacyWriter struct {
-	mu  sync.Mutex
-	f   *os.File
-	lsn uint64
-	buf []byte
-}
+// TestOpenRefusesLegacyJournal pins the v1 refusal: a directory holding a
+// pre-lane segment or snapshot must fail Open with ErrLegacyJournal and keep
+// every file byte for byte — no wal-meta.json, no lane segment, no
+// truncation — so the operator can still upgrade it with an older build.
+// Read as empty instead, its labels would be silently dropped.
+func TestOpenRefusesLegacyJournal(t *testing.T) {
+	// A v1 record: 8-byte header (length, CRC-32C of the payload alone).
+	payload := []byte(`{"lsn":1,"type":"restart"}`)
+	v1 := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	v1 = binary.LittleEndian.AppendUint32(v1, crc32.Checksum(payload, castagnoli))
+	v1 = append(v1, payload...)
 
-func newLegacyWriter(t *testing.T, dir string) *legacyWriter {
-	t.Helper()
-	f, err := os.OpenFile(filepath.Join(dir, legacySegmentName(1)), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &legacyWriter{f: f}
-}
-
-func (w *legacyWriter) Append(ev *session.Event) (uint64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.lsn++
-	ev.LSN = w.lsn
-	payload, err := json.Marshal(ev)
-	if err != nil {
-		return 0, err
-	}
-	w.buf = appendRecordV1(w.buf[:0], payload)
-	if _, err := w.f.Write(w.buf); err != nil {
-		return 0, err
-	}
-	return w.lsn, nil
-}
-
-func (w *legacyWriter) Err() error { return nil }
-
-// TestLegacyJournalUpgrade builds a genuine v1 directory, opens it with a
-// 4-shard manager, and checks the upgrade contract: the recovered state
-// continues exactly like the live pre-upgrade manager, the directory is
-// converted in place (meta + per-lane snapshots, legacy files gone), and a
-// second crash-recovery through the pure v2 path still agrees.
-func TestLegacyJournalUpgrade(t *testing.T) {
-	scores, preds, truth := walPool(2000, 71)
-	dir := t.TempDir()
-
-	// The "old binary": a manager journaling through the v1 writer.
-	old := session.NewManager(session.ManagerOptions{})
-	w := newLegacyWriter(t, dir)
-	old.SetJournal(w)
-	ids := []string{"lg-a", "lg-b", "lg-c"}
-	for i, id := range ids {
-		method := session.MethodOASIS
-		if i == 2 {
-			method = session.MethodPassive
-		}
-		s, err := old.Create(eqCfg(id, method, uint64(40+i), scores, preds))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for round := 0; round < 6; round++ {
-			driveRound(t, s, 5, truth)
-		}
-	}
-	// Dangling proposals at the upgrade point are dropped like any boot.
-	sa, err := old.Get("lg-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sa.Propose(4); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Mirror the recovery-side boot barrier on the live manager and detach
-	// its journal so continuation driving stays un-journaled.
-	if _, err := old.ReplayEvent(&session.Event{Type: session.EventRestart}); err != nil {
-		t.Fatal(err)
-	}
-	old.SetJournal(nil)
-
-	// The upgrade boot: open the legacy directory sharded 4 ways.
-	up := session.NewManager(session.ManagerOptions{Shards: 4})
-	j := mustOpen(t, dir, up, Options{Fsync: "off"})
-	if got := up.Len(); got != len(ids) {
-		t.Fatalf("upgraded recovery found %d sessions, want %d", got, len(ids))
-	}
-	inv := dirInv(t, dir)
-	if inv.meta == nil || inv.meta.Lanes != 4 {
-		t.Fatalf("upgrade did not commit wal-meta.json with 4 lanes: %+v", inv.meta)
-	}
-	if len(inv.legacySegs)+len(inv.legacySnaps) != 0 {
-		t.Fatalf("legacy files survived the upgrade: %d segs, %d snaps", len(inv.legacySegs), len(inv.legacySnaps))
-	}
-	for lane := 0; lane < 4; lane++ {
-		if len(inv.laneSnaps[lane]) != 1 {
-			t.Fatalf("lane %d has %d upgrade snapshots, want 1", lane, len(inv.laneSnaps[lane]))
-		}
-	}
-	for _, id := range ids {
-		a, err := old.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := up.Get(id)
-		if err != nil {
-			t.Fatalf("session %q lost in upgrade: %v", id, err)
-		}
-		requireSameContinuation(t, a, b, 4, 5, truth)
-	}
-	// Crash the upgraded journal and recover through the pure v2 path.
-	_ = j // abandoned, no Close: the crash
-	rec := session.NewManager(session.ManagerOptions{Shards: 4})
-	j2 := mustOpen(t, dir, rec, Options{Fsync: "off"})
-	defer j2.Close()
-	for _, id := range ids {
-		a, err := old.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := rec.Get(id)
-		if err != nil {
-			t.Fatalf("session %q lost after the post-upgrade crash: %v", id, err)
-		}
-		requireSameContinuation(t, a, b, 3, 5, truth)
-	}
-}
-
-// TestUpgradeRerunSweepsStaleLanes pins the shard-count-drift rerun: an
-// upgrade attempt that crashed before committing wal-meta.json may have
-// left lane snapshots and segments behind — possibly for MORE lanes than
-// the rerun uses, since an unset -shards is re-derived from the hardware.
-// The rerun must sweep every pre-existing lane file before committing, or
-// the stale high-lane leftovers would make every later Open refuse the
-// journal as carrying files for a lane it does not have.
-func TestUpgradeRerunSweepsStaleLanes(t *testing.T) {
-	scores, preds, truth := walPool(500, 97)
-	dir := t.TempDir()
-	old := session.NewManager(session.ManagerOptions{})
-	w := newLegacyWriter(t, dir)
-	old.SetJournal(w)
-	s, err := old.Create(eqCfg("sw-a", session.MethodOASIS, 61, scores, preds))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 4; round++ {
-		driveRound(t, s, 5, truth)
-	}
-	if err := w.f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := old.ReplayEvent(&session.Event{Type: session.EventRestart}); err != nil {
-		t.Fatal(err)
-	}
-	old.SetJournal(nil)
-
-	// The crashed first attempt: 8 lanes' snapshots and first segments on
-	// disk, no meta marker. The snapshot bodies are garbage — the rerun must
-	// delete them unread.
-	for lane := 0; lane < 8; lane++ {
-		if err := os.WriteFile(filepath.Join(dir, snapshotName(lane, 1)), []byte("stale attempt"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, segmentName(lane, 2)), nil, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// The rerun boots with 4 shards (the re-derived default shrank).
-	rec := session.NewManager(session.ManagerOptions{Shards: 4})
-	j := mustOpen(t, dir, rec, Options{Fsync: "off"})
-	if got := rec.Len(); got != 1 {
-		t.Fatalf("rerun recovered %d sessions, want 1", got)
-	}
-	inv := dirInv(t, dir)
-	for lane := 4; lane < 8; lane++ {
-		if len(inv.laneSegs[lane])+len(inv.laneSnaps[lane]) != 0 {
-			t.Fatalf("stale lane %d files survived the rerun: %v segs, %v snaps", lane, inv.laneSegs[lane], inv.laneSnaps[lane])
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The journal the rerun committed must stay bootable.
-	rec2 := session.NewManager(session.ManagerOptions{Shards: 4})
-	j2 := mustOpen(t, dir, rec2, Options{Fsync: "off"})
-	defer j2.Close()
-	b, err := rec2.Get("sw-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := old.Get("sw-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameContinuation(t, a, b, 3, 5, truth)
-}
-
-// TestUpgradeCrashWindowBootable pins the crash atomicity of the v1→v2
-// upgrade: the upgrade creates every lane's first segment before committing
-// wal-meta.json, so the narrowest crash it can leave behind — meta and lane
-// snapshots durable, every lane segment present but empty (the boot restart
-// records were plain writes a power cut may drop) — must boot and recover
-// every session from the snapshots. A lane whose segment file is genuinely
-// missing must still be refused: that state can no longer be produced by a
-// crashed upgrade, only by lost files.
-func TestUpgradeCrashWindowBootable(t *testing.T) {
-	scores, preds, truth := walPool(600, 91)
-	dir := t.TempDir()
-
-	old := session.NewManager(session.ManagerOptions{})
-	w := newLegacyWriter(t, dir)
-	old.SetJournal(w)
-	ids := []string{"cw-a", "cw-b", "cw-c"}
-	for i, id := range ids {
-		s, err := old.Create(eqCfg(id, session.MethodOASIS, uint64(50+i), scores, preds))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for round := 0; round < 4; round++ {
-			driveRound(t, s, 5, truth)
-		}
-	}
-	if err := w.f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := old.ReplayEvent(&session.Event{Type: session.EventRestart}); err != nil {
-		t.Fatal(err)
-	}
-	old.SetJournal(nil)
-
-	// The upgrade boot, crashed (abandoned, never Closed) immediately after.
-	up := session.NewManager(session.ManagerOptions{Shards: 4})
-	mustOpen(t, dir, up, Options{Fsync: "off"})
-
-	// Rewind the directory to the upgrade's commit point: zero durable bytes
-	// in any lane segment.
-	inv := dirInv(t, dir)
-	if inv.meta == nil {
-		t.Fatal("upgrade did not commit wal-meta.json")
-	}
-	for lane := 0; lane < 4; lane++ {
-		if len(inv.laneSegs[lane]) == 0 {
-			t.Fatalf("lane %d has no segment file at the upgrade commit point", lane)
-		}
-		for _, idx := range inv.laneSegs[lane] {
-			if err := os.Truncate(filepath.Join(dir, segmentName(lane, idx)), 0); err != nil {
+	for _, tc := range []struct {
+		name, file string
+		data       []byte
+	}{
+		{"segment", "wal-0000000000000001.log", v1},
+		{"snapshot", "snap-0000000000000003.json", []byte(`{"version":1,"sessions":[]}`)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, tc.file), tc.data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-
-	// A lane with no segment files at all is lost state, not a crash relic…
-	gone := inv.laneSegs[3]
-	for _, idx := range gone {
-		if err := os.Remove(filepath.Join(dir, segmentName(3, idx))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, err := Open(dir, session.NewManager(session.ManagerOptions{Shards: 4}), Options{Fsync: "off"})
-	if err == nil || !strings.Contains(err.Error(), "missing a lane") {
-		t.Fatalf("segment-less lane next to lane snapshots not rejected: %v", err)
-	}
-	// …while the legitimate post-upgrade crash state boots and continues
-	// exactly like the pre-upgrade manager.
-	for _, idx := range gone {
-		if err := os.WriteFile(filepath.Join(dir, segmentName(3, idx)), nil, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rec := session.NewManager(session.ManagerOptions{Shards: 4})
-	j := mustOpen(t, dir, rec, Options{Fsync: "off"})
-	defer j.Close()
-	if got := rec.Len(); got != len(ids) {
-		t.Fatalf("recovered %d sessions after the upgrade crash, want %d", got, len(ids))
-	}
-	for _, id := range ids {
-		a, err := old.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := rec.Get(id)
-		if err != nil {
-			t.Fatalf("session %q lost in the upgrade crash window: %v", id, err)
-		}
-		requireSameContinuation(t, a, b, 3, 5, truth)
+			before := dirBytes(t, dir)
+			_, err := Open(dir, session.NewManager(session.ManagerOptions{Shards: 2}), Options{Fsync: "off"})
+			if !errors.Is(err, ErrLegacyJournal) || !strings.Contains(err.Error(), "3d6227e") {
+				t.Fatalf("Open on a v1 %s: err = %v, want ErrLegacyJournal naming the upgrade build", tc.name, err)
+			}
+			if !strings.Contains(err.Error(), tc.file) {
+				t.Fatalf("refusal does not name the v1 file %s: %v", tc.file, err)
+			}
+			after := dirBytes(t, dir)
+			if len(after) != len(before) {
+				t.Fatalf("directory changed: %d files before, %d after (%v)", len(before), len(after), after)
+			}
+			for name, b := range before {
+				if a, ok := after[name]; !ok || !bytes.Equal(a, b) {
+					t.Fatalf("file %s changed or vanished", name)
+				}
+			}
+		})
 	}
 }
 
-// TestSingleShardJournalFormat pins the format claim of the version bump: a
-// single-shard journal writes the same record payloads as the v1 format —
-// only the header changed (4 extension bytes and a CRC that covers them).
-// Stripping the extension and re-checksumming every record of a 1-lane
-// segment must yield a byte-valid v1 segment that replays to identical
-// state through the legacy path.
-func TestSingleShardJournalFormat(t *testing.T) {
-	scores, preds, truth := walPool(800, 83)
-	dir := t.TempDir()
-	live := session.NewManager(session.ManagerOptions{Shards: 1})
-	mustOpen(t, dir, live, Options{Fsync: "off"})
-	s, err := live.Create(session.Config{
-		ID: "fmt", Scores: scores, Preds: preds, Calibrated: true,
-		Options: oasis.Options{Strata: 8, Seed: 6},
-	})
+// dirBytes maps every file name in dir to its contents.
+func dirBytes(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	committed := 0
-	for round := 0; round < 5; round++ {
-		committed += len(driveRound(t, s, 7, truth))
-	}
-
-	// Transcode the lane-0 stream to v1 framing, payloads untouched.
-	legacyDir := t.TempDir()
-	var v1 []byte
-	for _, idx := range dirInv(t, dir).laneSegs[0] {
-		data, err := os.ReadFile(filepath.Join(dir, segmentName(0, idx)))
+	out := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		consumed, torn, err := scanRecords(data, 1, func(shard int, payload []byte) error {
-			if shard != 0 {
-				return fmt.Errorf("single-shard journal tagged a record for lane %d", shard)
-			}
-			v1 = appendRecordV1(v1, payload)
-			return nil
-		})
-		if err != nil || torn || consumed != len(data) {
-			t.Fatalf("segment %d did not transcode cleanly: consumed %d of %d, torn %v, err %v", idx, consumed, len(data), torn, err)
-		}
+		out[e.Name()] = data
 	}
-	if err := os.WriteFile(filepath.Join(legacyDir, legacySegmentName(1)), v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	rec := session.NewManager(session.ManagerOptions{})
-	j2 := mustOpen(t, legacyDir, rec, Options{Fsync: "off"})
-	defer j2.Close()
-	r, err := rec.Get("fmt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Status().LabelsCommitted; got != committed {
-		t.Fatalf("v1-transcoded replay recovered %d labels, want %d", got, committed)
-	}
-	if _, err := live.ReplayEvent(&session.Event{Type: session.EventRestart}); err != nil {
-		t.Fatal(err)
-	}
-	live.SetJournal(nil)
-	requireSameContinuation(t, s, r, 4, 7, truth)
+	return out
 }

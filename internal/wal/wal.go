@@ -33,10 +33,10 @@
 //	snap-<lane>-<n>.json       per-lane compaction snapshot folding every
 //	                           segment of that lane with index < n
 //
-// Version 1 directories (a single un-tagged segment stream, 8-byte record
-// headers) are read-compatible: Open recovers them and upgrades the
-// directory in place, folding the legacy log into per-lane snapshots with
-// wal-meta.json as the commit marker.
+// Version 1 directories (a single un-tagged segment stream named
+// wal-<n>.log and snap-<n>.json, 8-byte record headers) are recognised by
+// file name and refused without touching a file: booting a build from
+// commit 3d6227e or earlier on one once upgrades it in place.
 //
 // Torn or truncated final records — a crash mid-write — are detected by CRC,
 // dropped, and the tail truncated; damage anywhere else is fatal. A commit
@@ -99,6 +99,12 @@ const DefaultSegmentBytes = 8 << 20
 // stop serving before the journal closes, but an in-flight request that
 // races the shutdown deserves an error, not a crash.
 var ErrClosed = errors.New("wal: journal is closed")
+
+// ErrLegacyJournal is returned by Open for a directory holding pre-lane v1
+// journal files. Open leaves such a directory untouched: booting a build
+// from commit 3d6227e or earlier on it once upgrades it in place, and this
+// build opens it from then on.
+var ErrLegacyJournal = errors.New("wal: directory holds a v1 (pre-lane) journal, which this build no longer reads; boot a build from commit 3d6227e or earlier on it once to upgrade it in place, then restart with this build")
 
 // LaneStats is one journal lane's slice of the counters.
 type LaneStats struct {
@@ -244,8 +250,8 @@ func parseFsync(s string) (always bool, interval time.Duration, err error) {
 // truncates torn tails, drops every outstanding lease (the crash reading of
 // the lease contract, made durable by per-lane restart records), and
 // finally attaches itself to mgr with SetJournal so live operations are
-// journaled from here on. A legacy single-stream (v1) directory is
-// recovered and upgraded in place. The lane count is fixed when the journal
+// journaled from here on. A legacy single-stream (v1) directory is refused
+// unchanged (see ErrLegacyJournal). The lane count is fixed when the journal
 // is created: reopening with a different manager shard count is an error.
 // mgr must not be serving traffic yet.
 func Open(dir string, mgr *session.Manager, opts Options) (*Journal, error) {
@@ -278,15 +284,10 @@ func Open(dir string, mgr *session.Manager, opts Options) (*Journal, error) {
 		return nil, err
 	}
 	switch {
-	case inv.meta == nil && (len(inv.legacySegs) > 0 || len(inv.legacySnaps) > 0):
-		// A legacy v1 journal: recover the single stream, then upgrade the
-		// directory to per-lane format in place.
-		if err := j.recoverLegacy(mgr, inv); err != nil {
-			return nil, err
-		}
-		if err := j.upgradeLegacy(inv); err != nil {
-			return nil, err
-		}
+	case len(inv.legacy) > 0:
+		// Without this check a v1 journal would look empty and its labels
+		// would be silently dropped.
+		return nil, legacyError(dir, inv.legacy)
 	case inv.meta == nil:
 		// Lane segments without the meta marker mean someone deleted
 		// wal-meta.json from a live journal; refusing beats guessing the
@@ -316,15 +317,6 @@ func Open(dir string, mgr *session.Manager, opts Options) (*Journal, error) {
 				return nil, fmt.Errorf("wal: snapshot for lane %d in a %d-lane journal", ln, len(j.lanes))
 			}
 		}
-		// Legacy leftovers after an interrupted upgrade: the upgrade wrote
-		// every lane snapshot before committing the meta marker, so the
-		// legacy files are fully folded and safe to drop.
-		for _, idx := range inv.legacySegs {
-			os.Remove(filepath.Join(dir, legacySegmentName(idx)))
-		}
-		for _, idx := range inv.legacySnaps {
-			os.Remove(filepath.Join(dir, legacySnapshotName(idx)))
-		}
 		if err := j.recoverLanes(mgr, inv); err != nil {
 			return nil, err
 		}
@@ -339,10 +331,10 @@ func Open(dir string, mgr *session.Manager, opts Options) (*Journal, error) {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 
-	// Resume every lane's LSN sequence above everything seen anywhere:
-	// cross-lane LSNs are never compared, but per-session watermarks must
-	// stay below every future LSN even right after an upgrade moved a
-	// session's stream between lanes.
+	// Resume every lane's LSN sequence above everything seen anywhere,
+	// snapshot watermarks included: cross-lane LSNs are never compared, but
+	// a session's watermark must stay below every future LSN of its lane, or
+	// a later replay would skip the new events as already folded.
 	maxLSN := mgr.MaxJournalLSN()
 	for _, ln := range j.lanes {
 		if ln.lsn > maxLSN {
@@ -356,13 +348,8 @@ func Open(dir string, mgr *session.Manager, opts Options) (*Journal, error) {
 		if ln.snapAt > ln.seg {
 			ln.seg = ln.snapAt
 		}
-		// The upgrade path hands each lane an already-open first segment
-		// (created before the meta marker committed, to close the crash
-		// window); every other path boots onto a freshly rotated one.
-		if ln.f == nil {
-			if err := j.rotateLane(ln); err != nil {
-				return nil, err
-			}
+		if err := j.rotateLane(ln); err != nil {
+			return nil, err
 		}
 	}
 
@@ -392,32 +379,38 @@ func Open(dir string, mgr *session.Manager, opts Options) (*Journal, error) {
 
 // DirLanes reports the lane count recorded in an existing WAL directory's
 // meta file — what a manager must be sharded to before Open will accept the
-// directory. It returns 0 for a fresh or legacy (pre-lane) directory, where
-// the caller is free to pick: oasis-server uses it so an unset -shards
-// adopts an existing journal's lane count instead of re-deriving one from
-// the hardware (which may have changed since the journal was created).
+// directory. It returns 0 for a fresh or missing directory, where the
+// caller is free to pick, and ErrLegacyJournal for a v1 one, which Open
+// would refuse. It only reads. oasis-server calls it before creating
+// anything, so an unset -shards adopts an existing journal's lane count
+// instead of re-deriving one from the hardware (which may have changed
+// since the journal was created), and a v1 directory is refused untouched.
 func DirLanes(dir string) (int, error) {
-	data, err := os.ReadFile(filepath.Join(dir, metaName))
-	if errors.Is(err, os.ErrNotExist) {
+	inv, err := readDirState(dir)
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		return 0, nil
+	case err != nil:
+		return 0, err
+	case len(inv.legacy) > 0:
+		return 0, legacyError(dir, inv.legacy)
+	case inv.meta == nil:
 		return 0, nil
 	}
-	if err != nil {
-		return 0, fmt.Errorf("wal: read %s: %w", metaName, err)
-	}
-	var m metaFile
-	if err := json.Unmarshal(data, &m); err != nil {
-		return 0, fmt.Errorf("wal: %s: %w", metaName, err)
-	}
-	return m.Lanes, nil
+	return inv.meta.Lanes, nil
+}
+
+// legacyError wraps ErrLegacyJournal with the directory and its v1 files.
+func legacyError(dir string, names []string) error {
+	return fmt.Errorf("%w: %s holds %v", ErrLegacyJournal, dir, names)
 }
 
 // dirState is the inventory of a WAL directory.
 type dirState struct {
-	meta        *metaFile
-	legacySegs  []uint64
-	legacySnaps []uint64
-	laneSegs    map[int][]uint64
-	laneSnaps   map[int][]uint64
+	meta      *metaFile
+	legacy    []string // v1 segment and snapshot file names
+	laneSegs  map[int][]uint64
+	laneSnaps map[int][]uint64
 	// laneDataSegs counts lane segment files with at least one byte — the
 	// signal for the missing-lane check (a lane that lost its files while
 	// sibling lanes still hold records must be rejected, never silently
@@ -425,9 +418,9 @@ type dirState struct {
 	laneDataSegs int
 }
 
-// readDirState enumerates the directory: meta file, legacy segment and
-// snapshot indices, and per-lane v2 segment and snapshot indices, each
-// sorted ascending.
+// readDirState enumerates the directory: meta file, legacy v1 file names,
+// and per-lane v2 segment and snapshot indices, each sorted ascending. It
+// only reads.
 func readDirState(dir string) (dirState, error) {
 	st := dirState{laneSegs: make(map[int][]uint64), laneSnaps: make(map[int][]uint64)}
 	entries, err := os.ReadDir(dir)
@@ -470,16 +463,10 @@ func readDirState(dir string) (dirState, error) {
 			st.laneSnaps[lane] = append(st.laneSnaps[lane], idx)
 			continue
 		}
-		if idx, ok := parseIndexed(name, segmentPrefix, segmentSuffix); ok {
-			st.legacySegs = append(st.legacySegs, idx)
-			continue
-		}
-		if idx, ok := parseIndexed(name, snapshotPrefix, snapshotSuffix); ok {
-			st.legacySnaps = append(st.legacySnaps, idx)
+		if isLegacyName(name, segmentPrefix, segmentSuffix) || isLegacyName(name, snapshotPrefix, snapshotSuffix) {
+			st.legacy = append(st.legacy, name)
 		}
 	}
-	sort.Slice(st.legacySegs, func(i, k int) bool { return st.legacySegs[i] < st.legacySegs[k] })
-	sort.Slice(st.legacySnaps, func(i, k int) bool { return st.legacySnaps[i] < st.legacySnaps[k] })
 	for _, s := range st.laneSegs {
 		sort.Slice(s, func(i, k int) bool { return s[i] < s[k] })
 	}
@@ -489,9 +476,8 @@ func readDirState(dir string) (dirState, error) {
 	return st, nil
 }
 
-// snapshotEnvelope is the on-disk form of a compaction snapshot. Version 1
-// envelopes (legacy whole-manager snapshots) have no lane; version 2
-// envelopes carry the lane they fold.
+// snapshotEnvelope is the on-disk form of a per-lane compaction snapshot:
+// format version 2 and the lane it folds.
 type snapshotEnvelope struct {
 	Version  int             `json:"version"`
 	Lane     *int            `json:"lane,omitempty"`
@@ -505,178 +491,8 @@ func (j *Journal) writeMeta() error {
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if err := WriteFileAtomic(filepath.Join(j.dir, metaName), data, 0o644); err != nil {
+	if err := writeFileAtomic(filepath.Join(j.dir, metaName), data, 0o644); err != nil {
 		return fmt.Errorf("wal: write %s: %w", metaName, err)
-	}
-	return nil
-}
-
-// recoverLegacy replays a v1 single-stream journal — newest legacy snapshot
-// plus remaining legacy segments — into mgr, exactly as the v1 reader did.
-func (j *Journal) recoverLegacy(mgr *session.Manager, inv dirState) error {
-	var fold uint64 // replay only segments with index >= fold
-	if n := len(inv.legacySnaps); n > 0 {
-		fold = inv.legacySnaps[n-1]
-		path := filepath.Join(j.dir, legacySnapshotName(fold))
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("wal: read snapshot: %w", err)
-		}
-		var env snapshotEnvelope
-		if err := json.Unmarshal(data, &env); err != nil {
-			return fmt.Errorf("wal: snapshot %s: %w", path, err)
-		}
-		if env.Version != 1 {
-			return fmt.Errorf("wal: snapshot %s: unsupported version %d", path, env.Version)
-		}
-		if err := mgr.RestoreReplay(env.Sessions); err != nil {
-			return fmt.Errorf("wal: snapshot %s: %w", path, err)
-		}
-		j.replay.snapshot = true
-	}
-	maxLSN := mgr.MaxJournalLSN()
-
-	for i, idx := range inv.legacySegs {
-		if idx < fold {
-			continue // folded into the snapshot; left over from a crash mid-compaction
-		}
-		path := filepath.Join(j.dir, legacySegmentName(idx))
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("wal: read segment: %w", err)
-		}
-		j.replay.segments++
-		consumed, torn, err := scanRecordsV1(data, func(payload []byte) error {
-			var ev session.Event
-			if err := json.Unmarshal(payload, &ev); err != nil {
-				return fmt.Errorf("bad event: %w", err)
-			}
-			if ev.LSN > maxLSN {
-				maxLSN = ev.LSN
-			}
-			applied, err := mgr.ReplayEvent(&ev)
-			if err != nil {
-				return err
-			}
-			if applied {
-				j.replay.applied++
-			} else {
-				j.replay.skipped++
-			}
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("wal: replay %s: %w", path, err)
-		}
-		if torn {
-			// A crash-torn write is always a suffix: damage in any older
-			// segment, or damage followed by further valid records, is real
-			// mid-log corruption — refusing to boot beats silently truncating
-			// acknowledged commits away.
-			if i != len(inv.legacySegs)-1 || hasValidRecordAfterV1(data[consumed:]) {
-				return fmt.Errorf("wal: segment %s is corrupt mid-log (%d clean bytes of %d); only a trailing torn record is recoverable", path, consumed, len(data))
-			}
-			// A crash mid-write: drop the torn suffix and truncate durably so
-			// a power cut cannot resurrect it (the upgrade deletes the file
-			// anyway, but the truncation must hit disk before the fold does).
-			j.replay.tornBytes = len(data) - consumed
-			if err := truncateDurable(path, int64(consumed), j.dir); err != nil {
-				return fmt.Errorf("wal: truncate torn tail of %s: %w", path, err)
-			}
-		}
-	}
-	for _, ln := range j.lanes {
-		ln.lsn = maxLSN
-	}
-	return nil
-}
-
-// upgradeLegacy converts a recovered v1 directory to per-lane format: fold
-// the entire recovered state into one snapshot per lane, create every lane's
-// first (empty, still-open) segment, commit the upgrade by writing
-// wal-meta.json, then drop the legacy files. The meta file is the commit
-// marker — a crash before it leaves the legacy journal intact and the
-// upgrade simply reruns; a crash after it recovers from the lane snapshots
-// and the legacy leftovers are deleted as already-folded. The segments must
-// exist before the marker: recoverLanes rejects a snapshot-bearing journal
-// with a segment-less lane as missing files, so the directory must never
-// become visible — even across a crash — with the meta committed but a
-// lane's segment not yet created.
-func (j *Journal) upgradeLegacy(inv dirState) (err error) {
-	// Any failure below abandons the upgrade: release every lane segment
-	// handle opened so far so the caller doesn't leak them.
-	defer func() {
-		if err == nil {
-			return
-		}
-		for _, ln := range j.lanes {
-			if ln.f != nil {
-				ln.f.Close()
-				ln.f = nil
-			}
-		}
-	}()
-	// Lane files found before the meta marker exists are leftovers of a
-	// crashed earlier upgrade attempt — possibly at a different shard count
-	// (an unset -shards re-derives from the hardware). Sweep them all before
-	// writing anything: a stale snapshot or segment for a lane outside the
-	// new count would otherwise survive the commit and make every later Open
-	// refuse the directory as carrying files for a lane it does not have.
-	// (The syncDir below makes the sweep durable before the marker commits.)
-	for lane, idxs := range inv.laneSegs {
-		for _, idx := range idxs {
-			if err := os.Remove(filepath.Join(j.dir, segmentName(lane, idx))); err != nil {
-				return fmt.Errorf("wal: upgrade: sweep stale lane files: %w", err)
-			}
-		}
-	}
-	for lane, idxs := range inv.laneSnaps {
-		for _, idx := range idxs {
-			if err := os.Remove(filepath.Join(j.dir, snapshotName(lane, idx))); err != nil {
-				return fmt.Errorf("wal: upgrade: sweep stale lane files: %w", err)
-			}
-		}
-	}
-	for _, ln := range j.lanes {
-		data, err := j.mgr.SnapshotShard(ln.idx)
-		if err != nil {
-			return fmt.Errorf("wal: upgrade: %w", err)
-		}
-		laneIdx := ln.idx
-		env, err := json.Marshal(snapshotEnvelope{Version: 2, Lane: &laneIdx, Sessions: data})
-		if err != nil {
-			return fmt.Errorf("wal: upgrade: %w", err)
-		}
-		// Boundary 1: every lane segment ever written (they start at 2 here)
-		// will replay above this snapshot, guarded by the per-session
-		// watermarks.
-		if err := WriteFileAtomic(filepath.Join(j.dir, snapshotName(ln.idx, 1)), env, 0o644); err != nil {
-			return fmt.Errorf("wal: upgrade: %w", err)
-		}
-		ln.snapAt = 1
-		// O_TRUNC, not O_EXCL: a crash before the meta marker rewinds Open to
-		// the legacy branch, which reruns the upgrade over these leftovers.
-		f, err := os.OpenFile(filepath.Join(j.dir, segmentName(ln.idx, ln.snapAt+1)), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-		if err != nil {
-			return fmt.Errorf("wal: upgrade: %w", err)
-		}
-		ln.f = f
-		ln.seg = ln.snapAt + 1
-		ln.segSize = 0
-		ln.segCount = 1
-		ln.oldest = ln.seg
-	}
-	if err := syncDir(j.dir); err != nil {
-		return fmt.Errorf("wal: upgrade: %w", err)
-	}
-	if err := j.writeMeta(); err != nil {
-		return err
-	}
-	for _, idx := range inv.legacySegs {
-		os.Remove(filepath.Join(j.dir, legacySegmentName(idx)))
-	}
-	for _, idx := range inv.legacySnaps {
-		os.Remove(filepath.Join(j.dir, legacySnapshotName(idx)))
 	}
 	return nil
 }
@@ -732,8 +548,7 @@ func (j *Journal) recoverLanes(mgr *session.Manager, inv dirState) error {
 }
 
 // recoverLane replays one lane: newest lane snapshot, then the remaining
-// lane segments in order, with the same torn-tail contract as the legacy
-// reader, applied per lane.
+// lane segments in order.
 func (j *Journal) recoverLane(mgr *session.Manager, ln *lane, segs, snaps []uint64) error {
 	var fold uint64
 	var applied, skipped uint64
@@ -806,11 +621,15 @@ func (j *Journal) recoverLane(mgr *session.Manager, ln *lane, segs, snaps []uint
 			return fmt.Errorf("wal: replay %s: %w", path, err)
 		}
 		if torn {
-			// Only the lane's newest segment may carry a torn suffix; see the
-			// legacy reader for the rationale.
+			// A crash-torn write is always a suffix of the lane's newest
+			// segment: damage in any older segment, or damage followed by
+			// further valid records, is real mid-log corruption — refusing to
+			// boot beats silently truncating acknowledged commits away.
 			if i != len(segs)-1 || hasValidRecordAfter(data[consumed:]) {
 				return fmt.Errorf("wal: segment %s is corrupt mid-log (%d clean bytes of %d); only a trailing torn record is recoverable", path, consumed, len(data))
 			}
+			// A crash mid-write: drop the torn suffix and truncate durably so
+			// a power cut cannot resurrect it once this boot appends more.
 			tornBytes = len(data) - consumed
 			if err := truncateDurable(path, int64(consumed), j.dir); err != nil {
 				return fmt.Errorf("wal: truncate torn tail of %s: %w", path, err)
@@ -1140,7 +959,7 @@ func (j *Journal) CompactShard(shard int) error {
 	if err != nil {
 		return fmt.Errorf("wal: compact: %w", err)
 	}
-	if err := WriteFileAtomic(filepath.Join(j.dir, snapshotName(shard, boundary)), env, 0o644); err != nil {
+	if err := writeFileAtomic(filepath.Join(j.dir, snapshotName(shard, boundary)), env, 0o644); err != nil {
 		return fmt.Errorf("wal: compact: %w", err)
 	}
 

@@ -899,9 +899,10 @@ func (s *Sampler) State() *SamplerState {
 
 // RestoreState overwrites the sampler's mutable state from a snapshot taken
 // on a sampler with the same pool and Options, including its outstanding
-// proposals. The caller decides what to do with the restored proposals:
-// the session layer re-leases them (graceful snapshot restarts) or releases
-// them after WAL tail replay (the boot barrier's crash contract).
+// proposals. The caller decides what to do with the restored proposals: the
+// session layer re-leases them so the WAL tail replays against the exact
+// availability, then the WAL boot barrier releases every one still
+// outstanding (the restart contract; see Release).
 func (s *Sampler) RestoreState(st *SamplerState) error {
 	if st == nil || st.Core == nil {
 		return errors.New("oasis: nil sampler state")
