@@ -82,14 +82,16 @@ diag-smoke:
 	$(GO) test -race ./internal/server -run '^TestDiagnostics|^TestDashboard|^TestSeededDegeneracy' -count=1
 	$(GO) test -race ./internal/diag -count=1
 
-# Short fuzz of the WAL replay path and the binary wire-protocol decoders
-# (CI runs the same; -fuzz is single-package, hence two invocations).
+# Short fuzz of the WAL replay path, the binary wire-protocol decoders and
+# the pool decoder (upload and both cold-load paths). CI runs the same;
+# -fuzz is single-package, hence one invocation per target.
 # Minimization is capped: replay coverage is mildly nondeterministic (temp
 # paths, map iteration), and the default 60s minimize budget stalls short
 # smoke runs.
 fuzz-smoke:
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 30s -fuzzminimizetime 10x
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzBinaryProtocol$$' -fuzztime 20s -fuzzminimizetime 10x
+	$(GO) test ./internal/poolstore -run '^$$' -fuzz '^FuzzPoolDecode$$' -fuzztime 20s -fuzzminimizetime 10x
 
 # Run the evaluation service with the durable write-ahead label journal
 # (fsync always by default): kill -9 safe, acknowledged labels survive

@@ -1,9 +1,10 @@
 package oasis_test
 
 // This file regenerates every table and figure of the paper's evaluation
-// (§6) as testing.B benchmarks, plus ablation benches for the design choices
-// called out in DESIGN.md. Each benchmark prints the regenerated table to
-// stdout on its first iteration and reports a headline metric.
+// (§6) as testing.B benchmarks, plus ablation benches for the sampler's
+// design choices (ε, prior strength and decay, stratifier, posterior
+// estimate, IS alias sampling). Each benchmark prints the regenerated table
+// to stdout on its first iteration and reports a headline metric.
 //
 // Scale is controlled by environment variables (see internal/paperexp):
 //

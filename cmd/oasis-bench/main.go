@@ -7,7 +7,7 @@
 //	            [-scale 0.25] [-runs 20] [-seed 1] [-full] [-dataset name]
 //
 // -full is shorthand for -scale 1.0. Output is written to stdout; redirect
-// to capture. See EXPERIMENTS.md for the expected shapes.
+// to capture.
 package main
 
 import (

@@ -129,7 +129,9 @@
 // Stratification is cached in the store entry under the same refcount, so
 // concurrent sessions over one pool share the strata instead of re-sorting
 // a million scores each (BenchmarkSessionCreate/poolref-warm measures the
-// steady-state create). The -pool-mem-budget flag bounds resident bytes
+// steady-state create). The strata are one layout, an int32 permutation of
+// the pool in stratum order and its inverse (8 bytes per pair), which every
+// sampler over the pool reads in place. The -pool-mem-budget flag bounds resident bytes
 // (heap columns + mappings + cached strata) with an LRU sweep of
 // unreferenced pools; referenced pools are pinned, evictions are counted by
 // reason in /metrics, and the README's "Memory & zero-copy" section has the

@@ -4,9 +4,9 @@
 // multi-run error-curve harness behind Figures 2–5 and Table 3.
 //
 // The real datasets are replaced by generators with matched pool sizes,
-// match counts and class-imbalance ratios (see DESIGN.md for the
-// substitution argument); everything downstream — stratification, sampling,
-// estimation — is byte-for-byte the published algorithm.
+// match counts and class-imbalance ratios; everything downstream —
+// stratification, sampling, estimation — is byte-for-byte the published
+// algorithm.
 package erbench
 
 import (
@@ -261,7 +261,7 @@ func factory(kind MethodKind, p *pool.Pool, cfg HarnessConfig) (experiment.Facto
 			return experiment.Factory{}, err
 		}
 		return experiment.Factory{Name: name, New: func(seed uint64) (sampler.Method, error) {
-			return sampler.NewStratified(p, s.Weights, s.MeanPred, s.Items, cfg.Alpha, rng.New(seed))
+			return sampler.NewStratified(p, s, cfg.Alpha, rng.New(seed))
 		}}, nil
 	case ImportanceSampling, ImportanceSamplingNaive:
 		naive := kind == ImportanceSamplingNaive
@@ -269,30 +269,36 @@ func factory(kind MethodKind, p *pool.Pool, cfg HarnessConfig) (experiment.Facto
 			return sampler.NewIS(p, sampler.ISConfig{Alpha: cfg.Alpha, Epsilon: cfg.Epsilon, Naive: naive}, rng.New(seed))
 		}}, nil
 	case OASIS:
-		var (
-			s   *strata.Strata
-			err error
-		)
-		if cfg.EqualSizeStrata {
-			s, err = strata.EqualSize(p, cfg.Strata)
-		} else {
-			s, err = strata.CSF(p, cfg.Strata, 0)
-		}
+		s, err := oasisStrata(p, cfg)
 		if err != nil {
 			return experiment.Factory{}, err
 		}
 		name = fmt.Sprintf("OASIS %d", cfg.Strata)
 		return experiment.Factory{Name: name, New: func(seed uint64) (sampler.Method, error) {
-			return core.New(p, s, core.Config{
-				Alpha:             cfg.Alpha,
-				Epsilon:           cfg.Epsilon,
-				PriorStrength:     cfg.PriorStrength,
-				DisablePriorDecay: cfg.NoPriorDecay,
-				PosteriorEstimate: cfg.PosteriorEstimate,
-			}, rng.New(seed))
+			return core.New(p, s, cfg.coreConfig(), rng.New(seed))
 		}}, nil
 	default:
 		return experiment.Factory{}, fmt.Errorf("erbench: unknown method %d", kind)
+	}
+}
+
+// oasisStrata stratifies p as cfg asks of OASIS: CSF, or equal-size strata
+// for the ablation. Every run of an experiment shares the one layout.
+func oasisStrata(p *pool.Pool, cfg HarnessConfig) (*strata.Strata, error) {
+	if cfg.EqualSizeStrata {
+		return strata.EqualSize(p, cfg.Strata)
+	}
+	return strata.CSF(p, cfg.Strata, 0)
+}
+
+// coreConfig is the OASIS configuration cfg describes.
+func (c HarnessConfig) coreConfig() core.Config {
+	return core.Config{
+		Alpha:             c.Alpha,
+		Epsilon:           c.Epsilon,
+		PriorStrength:     c.PriorStrength,
+		DisablePriorDecay: c.NoPriorDecay,
+		PosteriorEstimate: c.PosteriorEstimate,
 	}
 }
 
@@ -374,25 +380,11 @@ type Convergence = experiment.Convergence
 // pool: F, π and v* errors plus KL(v*‖v̂) as labels accumulate.
 func RunConvergence(b *BuiltPool, cfg HarnessConfig, every int) (*Convergence, error) {
 	cfg = cfg.withDefaults()
-	var (
-		s   *strata.Strata
-		err error
-	)
-	if cfg.EqualSizeStrata {
-		s, err = strata.EqualSize(b.inner, cfg.Strata)
-	} else {
-		s, err = strata.CSF(b.inner, cfg.Strata, 0)
-	}
+	s, err := oasisStrata(b.inner, cfg)
 	if err != nil {
 		return nil, err
 	}
-	o, err := core.New(b.inner, s, core.Config{
-		Alpha:             cfg.Alpha,
-		Epsilon:           cfg.Epsilon,
-		PriorStrength:     cfg.PriorStrength,
-		DisablePriorDecay: cfg.NoPriorDecay,
-		PosteriorEstimate: cfg.PosteriorEstimate,
-	}, rng.New(cfg.Seed))
+	o, err := core.New(b.inner, s, cfg.coreConfig(), rng.New(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}

@@ -67,24 +67,31 @@ func TestBuildPoolOperatingPoint(t *testing.T) {
 // TestBuildPoolDeterministic pins seeded pool construction: two builds of
 // the same dedup profile with the same seed must score identical pools, so
 // nothing on the build path may depend on map iteration order.
+// TestBuildPoolDeterministic covers a dedup profile (cora) and both
+// two-source profiles, whose description field is scored by tf-idf cosine:
+// its sums must not depend on map iteration order.
 func TestBuildPoolDeterministic(t *testing.T) {
 	cfg := PoolConfig{Scale: 0.05, Calibrate: true, Seed: 12345, TrainPairs: 1200}
-	a, err := BuildPool("cora", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := BuildPool("cora", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pa, pb := a.Pool.Internal(), b.Pool.Internal()
-	if len(pa.Scores) != len(pb.Scores) {
-		t.Fatalf("pool sizes %d and %d", len(pa.Scores), len(pb.Scores))
-	}
-	for i := range pa.Scores {
-		if pa.Scores[i] != pb.Scores[i] || pa.Preds[i] != pb.Preds[i] {
-			t.Fatalf("pair %d: (%v, %v) vs (%v, %v)", i, pa.Scores[i], pa.Preds[i], pb.Scores[i], pb.Preds[i])
-		}
+	for _, name := range []string{"cora", "Abt-Buy", "Amazon-GoogleProducts"} {
+		t.Run(name, func(t *testing.T) {
+			a, err := BuildPool(name, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := BuildPool(name, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pa, pb := a.Pool.Internal(), b.Pool.Internal()
+			if len(pa.Scores) != len(pb.Scores) {
+				t.Fatalf("pool sizes %d and %d", len(pa.Scores), len(pb.Scores))
+			}
+			for i := range pa.Scores {
+				if pa.Scores[i] != pb.Scores[i] || pa.Preds[i] != pb.Preds[i] {
+					t.Fatalf("pair %d: (%v, %v) vs (%v, %v)", i, pa.Scores[i], pa.Preds[i], pb.Scores[i], pb.Preds[i])
+				}
+			}
+		})
 	}
 }
 

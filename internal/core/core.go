@@ -132,60 +132,17 @@ type Sampler struct {
 	rebuilds     uint64
 	rebuildNanos int64
 
-	// membersFlat concatenates the strata member lists as int32 (stratum k
-	// occupies [strataOff[k], strataOff[k+1])), preserving each stratum's
-	// item order. The uniform pair pick is a random access; the compact
-	// layout halves its cache footprint versus [][]int and drops a pointer
-	// chase.
-	membersFlat []int32
-	strataOff   []int32
-
 	iterations int
 }
 
 // ErrNoStrata is returned when the stratification is empty.
 var ErrNoStrata = errors.New("core: empty stratification")
 
-// FlatMembers is a flattened strata membership: Members concatenates the
-// per-stratum item lists in stratum order (stratum k occupies
-// [Off[k], Off[k+1])), preserving each stratum's item order. It is a pure
-// function of the Strata and read-only after construction, so one
-// FlatMembers can be shared across every sampler built over the same
-// stratification (see NewWithMembers).
-type FlatMembers struct {
-	Members []int32
-	Off     []int32
-}
-
-// Flatten computes the FlatMembers of s.
-func Flatten(s *strata.Strata) FlatMembers {
-	k := s.K()
-	fm := FlatMembers{
-		Members: make([]int32, 0, s.N()),
-		Off:     make([]int32, k+1),
-	}
-	for j := 0; j < k; j++ {
-		fm.Off[j] = int32(len(fm.Members))
-		for _, i := range s.Items[j] {
-			fm.Members = append(fm.Members, int32(i))
-		}
-	}
-	fm.Off[k] = int32(len(fm.Members))
-	return fm
-}
-
 // New builds an OASIS sampler over an already-stratified pool. The Strata
 // must partition exactly the pool's items (as produced by strata.CSF or
-// strata.EqualSize on the same pool).
+// strata.EqualSize on the same pool); the sampler reads its layout in place,
+// so one Strata may back any number of samplers.
 func New(p *pool.Pool, s *strata.Strata, cfg Config, r *rng.RNG) (*Sampler, error) {
-	return NewWithMembers(p, s, cfg, r, FlatMembers{})
-}
-
-// NewWithMembers is New with a precomputed flattened membership, aliased
-// read-only — the caller may share one FlatMembers (from Flatten over the
-// same Strata) across samplers, saving the O(N) rebuild per sampler. A
-// zero-value fm means "flatten here".
-func NewWithMembers(p *pool.Pool, s *strata.Strata, cfg Config, r *rng.RNG, fm FlatMembers) (*Sampler, error) {
 	if !cfg.TrustedPool {
 		if err := p.Validate(); err != nil {
 			return nil, err
@@ -255,13 +212,6 @@ func NewWithMembers(p *pool.Pool, s *strata.Strata, cfg Config, r *rng.RNG, fm F
 		o.prior0[j] = cfg.PriorStrength * o.piInit[j]
 		o.prior1[j] = cfg.PriorStrength * (1 - o.piInit[j])
 	}
-	if fm.Members == nil {
-		fm = Flatten(s)
-	} else if len(fm.Members) != s.N() || len(fm.Off) != k+1 {
-		return nil, errors.New("core: flat members do not match the strata")
-	}
-	o.membersFlat = fm.Members
-	o.strataOff = fm.Off
 	return o, nil
 }
 
@@ -509,9 +459,8 @@ func (o *Sampler) DrawStratum() (int, float64) {
 // UniformPair draws one pool index uniformly from stratum k, consuming one
 // variate from the sampler's stream — the pair pick of Algorithm 3 line 5.
 func (o *Sampler) UniformPair(k int) int {
-	off := o.strataOff[k]
-	size := int(o.strataOff[k+1] - off)
-	return int(o.membersFlat[int(off)+o.rng.Intn(size)])
+	members := o.str.Members(k)
+	return int(members[o.rng.Intn(len(members))])
 }
 
 // Rand exposes the sampler's random stream so that the proposal engine in
@@ -600,12 +549,13 @@ func (o *Sampler) Estimator() *estimator.Weighted { return o.est }
 // pool's ground truth (diagnostics; Figure 4b).
 func TruePi(p *pool.Pool, s *strata.Strata) []float64 {
 	out := make([]float64, s.K())
-	for k, items := range s.Items {
+	for k := range out {
+		members := s.Members(k)
 		sum := 0.0
-		for _, i := range items {
+		for _, i := range members {
 			sum += p.TruthProb[i]
 		}
-		out[k] = sum / float64(len(items))
+		out[k] = sum / float64(len(members))
 	}
 	return out
 }

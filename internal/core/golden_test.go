@@ -14,19 +14,31 @@ import (
 	"oasis/internal/strata"
 )
 
+// refMembers lists each stratum's members by scanning the pool indices in
+// order and keeping those in the stratum, independently of the layout's
+// permutation: the draw path must index the same ascending member order.
+func refMembers(s *strata.Strata) [][]int {
+	members := make([][]int, s.K())
+	for i := 0; i < s.N(); i++ {
+		k := s.StratumOf(i)
+		members[k] = append(members[k], i)
+	}
+	return members
+}
+
 // refDraw performs one draw exactly the way the seed implementation did:
 // recompute the instrumental distribution from the posterior, then draw the
 // stratum with the per-call-validated linear inverse-CDF scan and the pair
-// uniformly from the stratum's member list. It bypasses every cache.
-func refDraw(t *testing.T, o *Sampler) Draw {
+// uniformly from the stratum's member list (from refMembers). It bypasses
+// every cache.
+func refDraw(t *testing.T, o *Sampler, members [][]int) Draw {
 	t.Helper()
 	o.computeV()
 	kStar, err := o.rng.Categorical(o.v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	members := o.str.Items[kStar]
-	i := members[o.rng.Intn(len(members))]
+	i := members[kStar][o.rng.Intn(len(members[kStar]))]
 	return Draw{
 		Pair:    i,
 		Stratum: kStar,
@@ -57,6 +69,7 @@ func TestGoldenSequence(t *testing.T) {
 	}
 	opt := newSampler(99) // optimized: cached v(t), prepared sampler
 	ref := newSampler(99) // reference: rebuild + Categorical every draw
+	members := refMembers(s)
 
 	label := func(pair int) bool { return p.TruthProb[pair] >= 0.5 }
 
@@ -67,7 +80,7 @@ func TestGoldenSequence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rd := refDraw(t, ref)
+		rd := refDraw(t, ref, members)
 		requireSameDraw(t, step, d, rd)
 		opt.Commit(d, label(d.Pair))
 		ref.Commit(rd, label(rd.Pair))
@@ -82,7 +95,7 @@ func TestGoldenSequence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameDraw(t, step, d, refDraw(t, ref))
+		requireSameDraw(t, step, d, refDraw(t, ref, members))
 	}
 
 	// Phase 3: snapshot round-trip. Restoring into a sampler whose own
@@ -103,7 +116,7 @@ func TestGoldenSequence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rd := refDraw(t, ref)
+		rd := refDraw(t, ref, members)
 		requireSameDraw(t, step, d, rd)
 		resumed.Commit(d, label(d.Pair))
 		ref.Commit(rd, label(rd.Pair))
@@ -135,12 +148,13 @@ func TestGoldenSequencePosteriorEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	members := refMembers(s)
 	for step := 0; step < 400; step++ {
 		d, err := opt.Draw()
 		if err != nil {
 			t.Fatal(err)
 		}
-		rd := refDraw(t, ref)
+		rd := refDraw(t, ref, members)
 		requireSameDraw(t, step, d, rd)
 		lab := p.TruthProb[d.Pair] >= 0.5
 		opt.Commit(d, lab)

@@ -103,6 +103,10 @@ type Curves struct {
 	MeanAbsErr []float64
 	// StdDev[c] is the standard deviation of the estimate over defined runs.
 	StdDev []float64
+	// AbsErrStdDev[c] is the standard deviation of |F̂ − F| over defined
+	// runs: the spread behind a confidence interval on MeanAbsErr[c]. It
+	// differs from StdDev[c] whenever runs straddle the truth.
+	AbsErrStdDev []float64
 	// DefinedFrac[c] is the fraction of runs with a defined estimate — the
 	// paper plots a curve only once this exceeds 0.95.
 	DefinedFrac []float64
@@ -214,18 +218,19 @@ func Run(f Factory, p *pool.Pool, alpha float64, cfg Config) (*Curves, error) {
 
 	// Deterministic sequential reduction.
 	c := &Curves{
-		Name:        f.Name,
-		Checkpoints: checkpoints,
-		MeanAbsErr:  make([]float64, len(checkpoints)),
-		StdDev:      make([]float64, len(checkpoints)),
-		DefinedFrac: make([]float64, len(checkpoints)),
-		Runs:        cfg.Runs,
-		TrueF:       trueF,
+		Name:         f.Name,
+		Checkpoints:  checkpoints,
+		MeanAbsErr:   make([]float64, len(checkpoints)),
+		StdDev:       make([]float64, len(checkpoints)),
+		AbsErrStdDev: make([]float64, len(checkpoints)),
+		DefinedFrac:  make([]float64, len(checkpoints)),
+		Runs:         cfg.Runs,
+		TrueF:        trueF,
 	}
 	var totalIters float64
 	var totalDur time.Duration
 	for ci := range checkpoints {
-		var online stats.Online
+		var online, onlineErr stats.Online
 		var absErr float64
 		defined := 0
 		for _, res := range results {
@@ -234,15 +239,19 @@ func Run(f Factory, p *pool.Pool, alpha float64, cfg Config) (*Curves, error) {
 				continue
 			}
 			defined++
+			e := math.Abs(est - trueF)
 			online.Add(est)
-			absErr += math.Abs(est - trueF)
+			onlineErr.Add(e)
+			absErr += e
 		}
 		if defined > 0 {
 			c.MeanAbsErr[ci] = absErr / float64(defined)
 			c.StdDev[ci] = online.StdDev()
+			c.AbsErrStdDev[ci] = onlineErr.StdDev()
 		} else {
 			c.MeanAbsErr[ci] = math.NaN()
 			c.StdDev[ci] = math.NaN()
+			c.AbsErrStdDev[ci] = math.NaN()
 		}
 		c.DefinedFrac[ci] = float64(defined) / float64(cfg.Runs)
 	}
@@ -266,13 +275,13 @@ func FinalErrors(f Factory, p *pool.Pool, alpha float64, cfg Config) (mean, ci f
 		return 0, 0, err
 	}
 	last := len(curves.Checkpoints) - 1
-	// Reconstruct per-run errors is unnecessary: mean abs err is already the
-	// statistic; its CI needs per-run spread, approximated from the estimate
-	// std dev (errors and estimates share spread around a fixed target).
+	// The statistic is the mean of |F̂ − F|, so its CI comes from the spread
+	// of |F̂ − F|, not of F̂: runs that straddle the truth spread F̂ widely
+	// while their errors agree.
 	mean = curves.MeanAbsErr[last]
 	n := float64(curves.Runs) * curves.DefinedFrac[last]
 	if n > 1 {
-		ci = 1.96 * curves.StdDev[last] / math.Sqrt(n)
+		ci = 1.96 * curves.AbsErrStdDev[last] / math.Sqrt(n)
 	} else {
 		ci = math.NaN()
 	}

@@ -187,6 +187,47 @@ func TestFinalErrors(t *testing.T) {
 	}
 }
 
+// straddler is a fake method that labels pairs in index order and always
+// reports the same estimate.
+type straddler struct {
+	next int
+	est  float64
+}
+
+func (s *straddler) Name() string { return "straddler" }
+
+func (s *straddler) Step(b *oracle.Budgeted) error {
+	_, err := b.TryLabel(s.next)
+	s.next++
+	return err
+}
+
+func (s *straddler) Estimate() float64 { return s.est }
+
+// TestFinalErrorsCIUsesErrorSpread: runs ending at F ± 0.05 all have
+// |error| 0.05, so the CI on the mean |error| has zero width. The spread of
+// F̂ itself (0.05) must not stand in for it.
+func TestFinalErrorsCIUsesErrorSpread(t *testing.T) {
+	p := testPool(2000, 3)
+	trueF := p.TrueFMeasure(0.5)
+	f := Factory{Name: "straddler", New: func(seed uint64) (sampler.Method, error) {
+		if seed%2 == 0 {
+			return &straddler{est: trueF + 0.05}, nil
+		}
+		return &straddler{est: trueF - 0.05}, nil
+	}}
+	mean, ci, err := FinalErrors(f, p, 0.5, Config{Budget: 50, Runs: 8, BaseSeed: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(mean-0.05) > 1e-12 {
+		t.Errorf("mean |error| %v, want 0.05", mean)
+	}
+	if !(ci >= 0 && ci < 1e-9) {
+		t.Errorf("ci %v, want 0: every run's |error| is 0.05", ci)
+	}
+}
+
 func TestLabelsToReachError(t *testing.T) {
 	c := &Curves{
 		Checkpoints: []int{10, 20, 30, 40},

@@ -71,33 +71,37 @@ func Dice(a, b []string) float64 {
 	return 2 * float64(inter) / float64(len(a)+len(b))
 }
 
-// CosineSparse returns the cosine similarity of two sparse vectors. For
-// L2-normalised inputs (textutil.Corpus.Vector) this is simply their dot
+// CosineSparse returns the cosine similarity of two term-sorted sparse
+// vectors, merging them in term order so the sums run in one fixed order.
+// For L2-normalised inputs (textutil.Corpus.Vector) this is simply their dot
 // product, but the function normalises defensively so it is correct for any
 // non-negative sparse vectors. Two empty vectors give 1; one empty gives 0.
-func CosineSparse(a, b map[string]float64) float64 {
+func CosineSparse(a, b textutil.SparseVector) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
-	small, large := a, b
-	if len(b) < len(a) {
-		small, large = b, a
-	}
 	dot := 0.0
-	for k, va := range small {
-		if vb, ok := large[k]; ok {
-			dot += va * vb
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i].Term == b[j].Term:
+			dot += a[i].Weight * b[j].Weight
+			i++
+			j++
+		case a[i].Term < b[j].Term:
+			i++
+		default:
+			j++
 		}
 	}
 	na, nb := 0.0, 0.0
-	for _, v := range a {
-		na += v * v
+	for _, t := range a {
+		na += t.Weight * t.Weight
 	}
-	for _, v := range b {
-		nb += v * v
+	for _, t := range b {
+		nb += t.Weight * t.Weight
 	}
 	if na == 0 || nb == 0 {
 		return 0

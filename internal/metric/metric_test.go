@@ -74,15 +74,15 @@ func TestTrigramJaccard(t *testing.T) {
 }
 
 func TestCosineSparse(t *testing.T) {
-	a := map[string]float64{"x": 1}
-	b := map[string]float64{"y": 1}
+	a := textutil.SparseVector{{Term: "x", Weight: 1}}
+	b := textutil.SparseVector{{Term: "y", Weight: 1}}
 	if got := CosineSparse(a, b); got != 0 {
 		t.Errorf("orthogonal = %v", got)
 	}
 	if got := CosineSparse(a, a); !approx(got, 1, 1e-12) {
 		t.Errorf("self = %v", got)
 	}
-	c := map[string]float64{"x": 1, "y": 1}
+	c := textutil.SparseVector{{Term: "x", Weight: 1}, {Term: "y", Weight: 1}}
 	if got := CosineSparse(a, c); !approx(got, 1/math.Sqrt2, 1e-12) {
 		t.Errorf("45° = %v", got)
 	}
@@ -107,6 +107,9 @@ func TestCosineWithCorpusVectors(t *testing.T) {
 	}
 	if s := CosineSparse(va, va); !approx(s, 1, 1e-9) {
 		t.Errorf("self cosine = %v", s)
+	}
+	if CosineSparse(va, vb) != CosineSparse(vb, va) {
+		t.Error("cosine not bit-symmetric")
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 // sets, tf-idf vectors and numbers, aligned with the schema.
 type Rep struct {
 	tri  [][]string
-	vec  []map[string]float64
+	vec  []textutil.SparseVector
 	num  []float64
 	miss []bool
 }
@@ -76,7 +76,7 @@ func (f *Featurizer) Rep(rec dataset.Record) Rep {
 	n := len(f.schema)
 	rep := Rep{
 		tri:  make([][]string, n),
-		vec:  make([]map[string]float64, n),
+		vec:  make([]textutil.SparseVector, n),
 		num:  make([]float64, n),
 		miss: make([]bool, n),
 	}

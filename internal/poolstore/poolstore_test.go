@@ -57,18 +57,22 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCodecRejectsDamage(t *testing.T) {
+// damagedEncodings returns corrupt variants of one valid encoding, each of
+// which every reader of the format must refuse. FuzzPoolDecode seeds its
+// corpus from them.
+func damagedEncodings(tb testing.TB) map[string][]byte {
+	tb.Helper()
 	scores, preds := testColumns(100, 3)
 	encoded, err := Encode(scores, preds)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	mut := func(mutate func([]byte)) []byte {
 		c := append([]byte(nil), encoded...)
 		mutate(c)
 		return c
 	}
-	cases := map[string][]byte{
+	return map[string][]byte{
 		"empty":          {},
 		"short header":   encoded[:10],
 		"bad magic":      mut(func(c []byte) { c[0] ^= 0xff }),
@@ -77,23 +81,23 @@ func TestCodecRejectsDamage(t *testing.T) {
 		"pred bitflip":   mut(func(c []byte) { c[len(c)-5] ^= 0x01 }),
 		"truncated":      encoded[:len(encoded)-1],
 		"trailing junk":  append(append([]byte(nil), encoded...), 0),
+		"CRC-valid NaN score": mut(func(c []byte) {
+			binary.LittleEndian.PutUint64(c[codecHeaderSize:], math.Float64bits(math.NaN()))
+			crc := crc32.Checksum(c[codecHeaderSize:codecHeaderSize+8*100], castagnoli)
+			binary.LittleEndian.PutUint32(c[codecHeaderSize+8*100:], crc)
+		}),
 	}
-	for name, data := range cases {
+}
+
+func TestCodecRejectsDamage(t *testing.T) {
+	for name, data := range damagedEncodings(t) {
 		if _, _, err := Decode(data); err == nil {
 			t.Errorf("%s: decode accepted corrupt encoding", name)
 		}
 	}
-	// Non-finite scores must be rejected at both ends.
+	// Non-finite scores must be rejected at the encoding end too.
 	if _, err := Encode([]float64{math.NaN()}, []bool{true}); err == nil {
 		t.Error("Encode accepted a NaN score")
-	}
-	nan := mut(func(c []byte) {
-		binary.LittleEndian.PutUint64(c[codecHeaderSize:], math.Float64bits(math.NaN()))
-		crc := crc32.Checksum(c[codecHeaderSize:codecHeaderSize+8*100], castagnoli)
-		binary.LittleEndian.PutUint32(c[codecHeaderSize+8*100:], crc)
-	})
-	if _, _, err := Decode(nan); err == nil {
-		t.Error("Decode accepted a CRC-valid NaN score")
 	}
 }
 

@@ -392,8 +392,12 @@ func (s *Store) Put(scores []float64, preds []bool) (info Info, created bool, er
 
 // PutEncoded stores a pool already in canonical binary form (the upload
 // endpoint's zero-parse path for binary bodies). The encoding is fully
-// verified before anything is written.
+// verified before anything is written, and must be the current (v2) form:
+// accepting v1 bytes would store the pool under a second content address.
 func (s *Store) PutEncoded(encoded []byte) (info Info, created bool, err error) {
+	if len(encoded) >= len(codecMagicV1) && string(encoded[:len(codecMagicV1)]) == codecMagicV1 {
+		return Info{}, false, errors.New("poolstore: v1 pool encodings load from disk only; upload the v2 form")
+	}
 	scores, preds, err := Decode(encoded)
 	if err != nil {
 		return Info{}, false, err

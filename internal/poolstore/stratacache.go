@@ -10,8 +10,9 @@ import (
 // strata options), and the columns are immutable and content-addressed, so
 // the store memoises stratifications per (pool, options) — N sessions over
 // one pool stratify once instead of N times. The cached value is opaque to
-// this package (the session layer stores a *strata.Strata); keeping it `any`
-// keeps poolstore free of a dependency on the sampling layers above it.
+// this package (the session layer stores an *oasis.Stratification); keeping
+// it `any` keeps poolstore free of a dependency on the sampling layers above
+// it.
 
 // StrataKey identifies one stratification of a pool: every option that the
 // computation reads must appear here, or two sessions with different

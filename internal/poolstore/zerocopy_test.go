@@ -79,8 +79,8 @@ func TestMmapAndDecodePathsByteIdentical(t *testing.T) {
 // encodeV1 builds the legacy OASISPL1 encoding (20-byte header, misaligned
 // scores) that pre-PR7 stores wrote: the read-compat and fallback tests feed
 // it to the current store.
-func encodeV1(t *testing.T, scores []float64, preds []bool) []byte {
-	t.Helper()
+func encodeV1(tb testing.TB, scores []float64, preds []bool) []byte {
+	tb.Helper()
 	n := len(scores)
 	buf := make([]byte, 0, codecHeaderSizeV1+sectionsSize(n))
 	buf = append(buf, codecMagicV1...)

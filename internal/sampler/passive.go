@@ -5,6 +5,7 @@ import (
 	"oasis/internal/oracle"
 	"oasis/internal/pool"
 	"oasis/internal/rng"
+	"oasis/internal/strata"
 )
 
 // Passive samples record pairs uniformly at random with replacement and
@@ -51,27 +52,26 @@ func (s *Passive) Estimate() float64 { return s.est.Estimate() }
 // sampling is *not* biased toward informative strata — which is the paper's
 // explanation for its weak performance.
 type Stratified struct {
-	pool    *pool.Pool
-	items   [][]int
-	draw    *rng.Cumulative
-	est     *estimator.Stratified
-	rng     *rng.RNG
-	weights []float64
+	pool *pool.Pool
+	str  *strata.Strata
+	draw *rng.Cumulative
+	est  *estimator.Stratified
+	rng  *rng.RNG
 }
 
-// NewStratified builds the stratified baseline from a stratification of p.
-func NewStratified(p *pool.Pool, weights []float64, lambda []float64, items [][]int, alpha float64, r *rng.RNG) (*Stratified, error) {
-	draw, err := rng.NewCumulative(weights)
+// NewStratified builds the stratified baseline over a stratification of p,
+// reading its layout in place.
+func NewStratified(p *pool.Pool, s *strata.Strata, alpha float64, r *rng.RNG) (*Stratified, error) {
+	draw, err := rng.NewCumulative(s.Weights)
 	if err != nil {
 		return nil, err
 	}
 	return &Stratified{
-		pool:    p,
-		items:   items,
-		draw:    draw,
-		est:     estimator.NewStratified(alpha, weights, lambda),
-		rng:     r,
-		weights: weights,
+		pool: p,
+		str:  s,
+		draw: draw,
+		est:  estimator.NewStratified(alpha, s.Weights, s.MeanPred),
+		rng:  r,
 	}, nil
 }
 
@@ -82,8 +82,8 @@ func (s *Stratified) Name() string { return "Stratified" }
 // and updates the stratified estimate.
 func (s *Stratified) Step(b *oracle.Budgeted) error {
 	k := s.draw.Draw(s.rng)
-	members := s.items[k]
-	i := members[s.rng.Intn(len(members))]
+	members := s.str.Members(k)
+	i := int(members[s.rng.Intn(len(members))])
 	label, err := b.TryLabel(i)
 	if err != nil {
 		return err

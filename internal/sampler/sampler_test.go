@@ -83,7 +83,7 @@ func TestStratifiedConverges(t *testing.T) {
 	var errSum float64
 	const runs = 5
 	for run := 0; run < runs; run++ {
-		m, err := NewStratified(p, st.Weights, st.MeanPred, st.Items, 0.5, rng.New(30+uint64(run)))
+		m, err := NewStratified(p, st, 0.5, rng.New(30+uint64(run)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestStratifiedConverges(t *testing.T) {
 		t.Errorf("stratified mean error %v (trueF %v)", mean, trueF)
 	}
 	st2, _ := strata.CSF(p, 30, 0)
-	m, _ := NewStratified(p, st2.Weights, st2.MeanPred, st2.Items, 0.5, rng.New(99))
+	m, _ := NewStratified(p, st2, 0.5, rng.New(99))
 	if m.Name() != "Stratified" {
 		t.Errorf("name %q", m.Name())
 	}
@@ -257,7 +257,7 @@ func TestMethodInterfaceCompliance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	strat, err := NewStratified(p, st.Weights, st.MeanPred, st.Items, 0.5, rng.New(16))
+	strat, err := NewStratified(p, st, 0.5, rng.New(16))
 	if err != nil {
 		t.Fatal(err)
 	}

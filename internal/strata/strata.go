@@ -10,17 +10,26 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 
 	"oasis/internal/pool"
 	"oasis/internal/stats"
 )
 
-// Strata is a disjoint partition of pool indices {0..N-1} into K strata.
+// Strata is a disjoint partition of pool indices {0..N-1} into K strata,
+// stored once as a permutation of the pool in stratum order: 8 bytes per
+// pair plus O(K). Every reader of stratum membership — the OASIS draw, the
+// proposal engine's slots, the stratified baseline — reads this layout
+// directly rather than keeping a copy. A Strata is immutable once built and
+// may be shared.
 type Strata struct {
-	// Items[k] lists the pool indices allocated to stratum k.
-	Items [][]int
-	// Assign[i] is the stratum index of pool item i.
-	Assign []int
+	// Perm lists every pool index once, stratum by stratum: stratum k
+	// occupies Perm[Off[k]:Off[k+1]], in ascending pool-index order.
+	Perm []int32
+	// Off holds the K+1 stratum offsets into Perm (Off[0] = 0, Off[K] = N).
+	Off []int32
+	// Pos is the inverse permutation: Perm[Pos[i]] == i.
+	Pos []int32
 	// Weights[k] = ω_k = |P_k| / N.
 	Weights []float64
 	// MeanScore[k] is the mean raw score within stratum k.
@@ -33,65 +42,93 @@ type Strata struct {
 }
 
 // K returns the number of strata.
-func (s *Strata) K() int { return len(s.Items) }
+func (s *Strata) K() int { return len(s.Weights) }
 
 // N returns the number of pool items covered.
-func (s *Strata) N() int { return len(s.Assign) }
+func (s *Strata) N() int { return len(s.Perm) }
 
 // Size returns |P_k|.
-func (s *Strata) Size(k int) int { return len(s.Items[k]) }
+func (s *Strata) Size(k int) int { return int(s.Off[k+1] - s.Off[k]) }
+
+// Members returns the pool indices of stratum k, ascending — a read-only
+// view into Perm.
+func (s *Strata) Members(k int) []int32 { return s.Perm[s.Off[k]:s.Off[k+1]] }
+
+// StratumOf returns the stratum holding pool index i, by binary search of
+// its position over Off: O(log K), for the cold paths (release, replay,
+// restore). The draw paths never need it.
+func (s *Strata) StratumOf(i int) int {
+	pos := s.Pos[i]
+	return sort.Search(s.K(), func(k int) bool { return s.Off[k+1] > pos })
+}
+
+// MemBytes returns the resident size of the stratification: the three int32
+// layout slices and the four per-stratum float64 columns.
+func (s *Strata) MemBytes() int64 {
+	return 4*int64(len(s.Perm)+len(s.Off)+len(s.Pos)) +
+		8*int64(len(s.Weights)+len(s.MeanScore)+len(s.MeanProbScore)+len(s.MeanPred))
+}
 
 // ErrNoStrata is returned when a requested stratification is degenerate.
 var ErrNoStrata = errors.New("strata: cannot build strata")
 
-// fromAllocation builds a Strata from an assignment vector and computes all
-// per-stratum statistics, dropping empty strata (Algorithm 1 line 19).
-func fromAllocation(p *pool.Pool, assign []int, k int) (*Strata, error) {
+// fromAllocation builds a Strata from an assignment vector (assign[i] is pool
+// item i's stratum in [0, k)) and computes all per-stratum statistics,
+// dropping empty strata (Algorithm 1 line 19). A stable counting sort lays
+// the pool out in stratum order, so each stratum keeps ascending pool-index
+// order. It takes ownership of assign, which is overwritten to become Pos.
+func fromAllocation(p *pool.Pool, assign []int32, k int) (*Strata, error) {
 	if k <= 0 {
 		return nil, ErrNoStrata
 	}
-	items := make([][]int, k)
-	for i, a := range assign {
-		if a < 0 || a >= k {
+	if len(assign) > math.MaxInt32 {
+		return nil, fmt.Errorf("strata: pool of %d pairs exceeds the int32 layout", len(assign))
+	}
+	sizes := make([]int32, k)
+	for _, a := range assign {
+		if a < 0 || int(a) >= k {
 			return nil, fmt.Errorf("strata: assignment %d out of range [0,%d)", a, k)
 		}
-		items[a] = append(items[a], i)
+		sizes[a]++
 	}
-	// Drop empty strata, remapping assignments.
-	remap := make([]int, k)
-	kept := 0
-	for j := 0; j < k; j++ {
-		if len(items[j]) > 0 {
-			items[kept] = items[j]
-			remap[j] = kept
-			kept++
-		} else {
-			remap[j] = -1
+	// Number the non-empty strata in order; next[a] is the first free slot
+	// in Perm for items assigned to a.
+	off := make([]int32, 1, k+1)
+	next := make([]int32, k)
+	for a, n := range sizes {
+		next[a] = off[len(off)-1]
+		if n > 0 {
+			off = append(off, next[a]+n)
 		}
 	}
-	items = items[:kept]
+	kept := len(off) - 1
 	if kept == 0 {
 		return nil, ErrNoStrata
 	}
+	perm := make([]int32, len(assign))
+	for i, a := range assign {
+		perm[next[a]] = int32(i)
+		assign[i] = next[a]
+		next[a]++
+	}
 	s := &Strata{
-		Items:         items,
-		Assign:        make([]int, len(assign)),
+		Perm:          perm,
+		Off:           off,
+		Pos:           assign,
 		Weights:       make([]float64, kept),
 		MeanScore:     make([]float64, kept),
 		MeanProbScore: make([]float64, kept),
 		MeanPred:      make([]float64, kept),
 	}
-	for i, a := range assign {
-		s.Assign[i] = remap[a]
-	}
 	n := float64(p.N())
 	for j := 0; j < kept; j++ {
-		size := float64(len(items[j]))
+		members := s.Members(j)
+		size := float64(len(members))
 		s.Weights[j] = size / n
 		var sumScore, sumProb, sumPred float64
-		for _, i := range items[j] {
+		for _, i := range members {
 			sumScore += p.Scores[i]
-			sumProb += p.ProbScore(i)
+			sumProb += p.ProbScore(int(i))
 			if p.Preds[i] {
 				sumPred++
 			}
@@ -139,7 +176,7 @@ func CSF(p *pool.Pool, targetK, bins int) (*Strata, error) {
 	// histogram bin to the stratum whose CSF interval contains it
 	// (lines 8–18, expressed as a direct mapping).
 	width := total / float64(targetK)
-	binStratum := make([]int, hist.Bins())
+	binStratum := make([]int32, hist.Bins())
 	for i := range binStratum {
 		k := int(csf[i] / width)
 		if csf[i] > 0 && csf[i]/width == float64(k) {
@@ -152,9 +189,9 @@ func CSF(p *pool.Pool, targetK, bins int) (*Strata, error) {
 		if k < 0 {
 			k = 0
 		}
-		binStratum[i] = k
+		binStratum[i] = int32(k)
 	}
-	assign := make([]int, p.N())
+	assign := make([]int32, p.N())
 	for i, s := range p.Scores {
 		assign[i] = binStratum[hist.BinOf(s)]
 	}
@@ -200,13 +237,13 @@ func EqualSize(p *pool.Pool, targetK int) (*Strata, error) {
 			return 0
 		}
 	})
-	assign := make([]int, n)
+	assign := make([]int32, n)
 	for rank, it := range order {
 		k := rank * targetK / n
 		if k >= targetK {
 			k = targetK - 1
 		}
-		assign[it.idx] = k
+		assign[it.idx] = int32(k)
 	}
 	return fromAllocation(p, assign, targetK)
 }

@@ -2,6 +2,7 @@ package strata
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -36,35 +37,42 @@ func imbalancedPool(n int, seed uint64) *pool.Pool {
 	return p
 }
 
-// checkPartition verifies strata invariants: disjoint cover, consistent
-// assignment, weights summing to one, statistics in range.
+// checkPartition verifies strata invariants: Perm is a permutation of the
+// pool with Pos its inverse, each stratum non-empty and in ascending pool
+// order, StratumOf consistent with Off, weights summing to one, statistics
+// in range.
 func checkPartition(t *testing.T, p *pool.Pool, s *Strata) {
 	t.Helper()
-	if s.N() != p.N() {
-		t.Fatalf("assign length %d != pool %d", s.N(), p.N())
+	if s.N() != p.N() || len(s.Pos) != p.N() {
+		t.Fatalf("layout covers %d/%d of %d items", s.N(), len(s.Pos), p.N())
+	}
+	if len(s.Off) != s.K()+1 || s.Off[0] != 0 || int(s.Off[s.K()]) != p.N() {
+		t.Fatalf("offsets %v for K=%d, N=%d", s.Off, s.K(), p.N())
 	}
 	seen := make([]bool, p.N())
-	total := 0
-	for k, items := range s.Items {
-		if len(items) == 0 {
+	for k := 0; k < s.K(); k++ {
+		members := s.Members(k)
+		if len(members) == 0 {
 			t.Fatalf("empty stratum %d survived", k)
 		}
-		for _, i := range items {
+		for j, i := range members {
 			if seen[i] {
 				t.Fatalf("item %d in two strata", i)
 			}
 			seen[i] = true
-			if s.Assign[i] != k {
-				t.Fatalf("assign[%d]=%d but item listed in stratum %d", i, s.Assign[i], k)
+			if j > 0 && members[j-1] >= i {
+				t.Fatalf("stratum %d not in ascending pool order at %d", k, j)
+			}
+			if s.Perm[s.Pos[i]] != i {
+				t.Fatalf("Pos[%d]=%d does not invert Perm", i, s.Pos[i])
+			}
+			if got := s.StratumOf(int(i)); got != k {
+				t.Fatalf("StratumOf(%d)=%d but item listed in stratum %d", i, got, k)
 			}
 		}
-		total += len(items)
-		if s.Size(k) != len(items) {
+		if s.Size(k) != len(members) {
 			t.Fatalf("Size(%d) inconsistent", k)
 		}
-	}
-	if total != p.N() {
-		t.Fatalf("partition covers %d of %d items", total, p.N())
 	}
 	wsum := 0.0
 	for k := range s.Weights {
@@ -78,6 +86,34 @@ func checkPartition(t *testing.T, p *pool.Pool, s *Strata) {
 	}
 	if math.Abs(wsum-1) > 1e-9 {
 		t.Fatalf("weights sum to %v", wsum)
+	}
+}
+
+// TestFromAllocationLayout pins the counting-sort layout on a small
+// assignment with empty strata, which are dropped and renumbered.
+func TestFromAllocationLayout(t *testing.T) {
+	p := &pool.Pool{
+		Scores:    []float64{0.9, 0.1, 0.8, 0.2, 0.5},
+		Preds:     []bool{true, false, true, false, false},
+		TruthProb: make([]float64, 5),
+	}
+	s, err := fromAllocation(p, []int32{2, 0, 2, 0, 4}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPartition(t, p, s)
+	if !slices.Equal(s.Perm, []int32{1, 3, 0, 2, 4}) || !slices.Equal(s.Off, []int32{0, 2, 4, 5}) ||
+		!slices.Equal(s.Pos, []int32{2, 0, 3, 1, 4}) {
+		t.Fatalf("layout Perm=%v Off=%v Pos=%v", s.Perm, s.Off, s.Pos)
+	}
+	if !slices.Equal(s.Weights, []float64{0.4, 0.4, 0.2}) || !slices.Equal(s.MeanPred, []float64{0, 1, 0}) {
+		t.Fatalf("weights %v, mean preds %v", s.Weights, s.MeanPred)
+	}
+	if want := int64(4*(5+4+5) + 8*4*3); s.MemBytes() != want {
+		t.Fatalf("MemBytes %d, want %d", s.MemBytes(), want)
+	}
+	if _, err := fromAllocation(p, []int32{0, 1, 5, 0, 0}, 5); err == nil {
+		t.Fatal("out-of-range assignment accepted")
 	}
 }
 
@@ -129,9 +165,9 @@ func TestCSFScoreMonotoneAcrossStrata(t *testing.T) {
 	}
 	type span struct{ lo, hi float64 }
 	spans := make([]span, s.K())
-	for k, items := range s.Items {
+	for k := range spans {
 		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, i := range items {
+		for _, i := range s.Members(k) {
 			if p.Scores[i] < lo {
 				lo = p.Scores[i]
 			}
@@ -269,8 +305,8 @@ func TestCSFPropertyRandomPools(t *testing.T) {
 		}
 		// Partition invariants.
 		count := 0
-		for _, items := range s.Items {
-			count += len(items)
+		for k := 0; k < s.K(); k++ {
+			count += s.Size(k)
 		}
 		wsum := 0.0
 		for _, w := range s.Weights {
@@ -293,13 +329,8 @@ func TestCSFDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.K() != b.K() {
-		t.Fatal("CSF not deterministic in K")
-	}
-	for i := range a.Assign {
-		if a.Assign[i] != b.Assign[i] {
-			t.Fatal("CSF not deterministic in assignment")
-		}
+	if !slices.Equal(a.Off, b.Off) || !slices.Equal(a.Perm, b.Perm) {
+		t.Fatal("CSF not deterministic in layout")
 	}
 }
 
@@ -311,7 +342,7 @@ func TestCSFHomogeneityBeatsRandomPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	intra := func(items [][]int) float64 {
+	intra := func(items [][]int32) float64 {
 		tot := 0.0
 		n := 0
 		for _, it := range items {
@@ -331,11 +362,18 @@ func TestCSFHomogeneityBeatsRandomPartition(t *testing.T) {
 		}
 		return tot / float64(n)
 	}
-	csfVar := intra(s.Items)
+	csfItems := make([][]int32, s.K())
+	for k := range csfItems {
+		csfItems[k] = s.Members(k)
+	}
+	csfVar := intra(csfItems)
 	// Random partition with the same stratum sizes.
 	r := rng.New(8)
-	perm := r.Perm(p.N())
-	randItems := make([][]int, s.K())
+	perm := make([]int32, p.N())
+	for i, j := range r.Perm(p.N()) {
+		perm[i] = int32(j)
+	}
+	randItems := make([][]int32, s.K())
 	pos := 0
 	for k := 0; k < s.K(); k++ {
 		randItems[k] = perm[pos : pos+s.Size(k)]

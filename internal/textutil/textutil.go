@@ -89,15 +89,6 @@ func NGrams(s string, n int) []string {
 // short-text Jaccard features.
 func Trigrams(s string) []string { return NGrams(s, 3) }
 
-// TermCounts returns the token → count map of a normalised string.
-func TermCounts(s string) map[string]int {
-	counts := make(map[string]int)
-	for _, tok := range Tokens(s) {
-		counts[tok]++
-	}
-	return counts
-}
-
 // Corpus is a tf-idf model over a collection of documents. Build it with
 // NewCorpus, then obtain sparse tf-idf vectors with Vector. Inverse document
 // frequency uses the smoothed form log((1+N)/(1+df)) + 1, so unseen terms
@@ -138,24 +129,39 @@ func (c *Corpus) IDF(term string) float64 {
 	return math.Log(float64(1+c.docs)/float64(1+df)) + 1
 }
 
-// Vector returns the L2-normalised tf-idf vector of doc as a sparse
-// term → weight map. The zero document yields an empty map.
-func (c *Corpus) Vector(doc string) map[string]float64 {
-	counts := TermCounts(doc)
-	if len(counts) == 0 {
-		return map[string]float64{}
-	}
-	vec := make(map[string]float64, len(counts))
+// TermWeight is one non-zero entry of a SparseVector.
+type TermWeight struct {
+	Term   string
+	Weight float64
+}
+
+// SparseVector is a sparse vector sorted by term. The fixed order makes
+// every sum over it — the norm here, the dot product in metric.CosineSparse
+// — bit-identical from one run to the next, which a map's randomised
+// iteration order would not.
+type SparseVector []TermWeight
+
+// Vector returns the L2-normalised tf-idf vector of doc, sorted by term. The
+// empty document yields an empty vector.
+func (c *Corpus) Vector(doc string) SparseVector {
+	toks := Tokens(doc)
+	sort.Strings(toks)
+	vec := make(SparseVector, 0, len(toks))
 	norm := 0.0
-	for term, n := range counts {
-		w := float64(n) * c.IDF(term)
-		vec[term] = w
+	for i := 0; i < len(toks); {
+		j := i + 1
+		for j < len(toks) && toks[j] == toks[i] {
+			j++
+		}
+		w := float64(j-i) * c.IDF(toks[i])
+		vec = append(vec, TermWeight{Term: toks[i], Weight: w})
 		norm += w * w
+		i = j
 	}
 	norm = math.Sqrt(norm)
 	if norm > 0 {
-		for term := range vec {
-			vec[term] /= norm
+		for i := range vec {
+			vec[i].Weight /= norm
 		}
 	}
 	return vec

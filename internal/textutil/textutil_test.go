@@ -101,13 +101,6 @@ func TestNGramsSortedUniqueProperty(t *testing.T) {
 	}
 }
 
-func TestTermCounts(t *testing.T) {
-	got := TermCounts("a b a c a")
-	if got["a"] != 3 || got["b"] != 1 || got["c"] != 1 {
-		t.Errorf("TermCounts = %v", got)
-	}
-}
-
 func TestCorpusIDF(t *testing.T) {
 	c := NewCorpus([]string{"apple banana", "apple cherry", "apple"})
 	if c.Docs() != 3 {
@@ -132,8 +125,11 @@ func TestCorpusVectorNormalised(t *testing.T) {
 		t.Fatalf("vector terms = %v", v)
 	}
 	norm := 0.0
-	for _, w := range v {
-		norm += w * w
+	for i, tw := range v {
+		norm += tw.Weight * tw.Weight
+		if i > 0 && v[i-1].Term >= tw.Term {
+			t.Fatalf("vector not sorted by term: %v", v)
+		}
 	}
 	if math.Abs(norm-1) > 1e-9 {
 		t.Errorf("vector not unit-norm: %v", norm)
@@ -147,7 +143,7 @@ func TestCorpusVectorNormalised(t *testing.T) {
 func TestCorpusVectorRepeatedTermsWeighMore(t *testing.T) {
 	c := NewCorpus([]string{"x y", "x z", "y z"})
 	v := c.Vector("x x y")
-	if !(v["x"] > v["y"]) {
+	if len(v) != 2 || v[0].Term != "x" || v[1].Term != "y" || !(v[0].Weight > v[1].Weight) {
 		t.Errorf("tf weighting broken: %v", v)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"oasis/internal/core"
@@ -165,10 +164,6 @@ type Result struct {
 type Sampler struct {
 	inner *core.Sampler
 	str   *strata.Strata
-	// proto is the shared initial slot state of the stratification this
-	// sampler was built over (nil for legacy construction paths); see
-	// resetAvailability.
-	proto *samplerProto
 
 	// Propose/commit bookkeeping: outstanding proposals live in a dense slab
 	// (pendingSlab) indexed per pair by pendingIdx, holding every draw
@@ -178,13 +173,14 @@ type Sampler struct {
 	// removal a swap-remove, both O(1). labels caches committed labels,
 	// mirroring the Budgeted oracle's first-query cache.
 	pendingSlab []pendingEntry
-	// slots interleaves each pair with its proposal state, laid out in
-	// stratum order (stratum k occupies [slotOff[k], slotOff[k+1]), matching
-	// the core sampler's within-stratum item order). A uniform pair draw
-	// indexes slots once: pair identity and state share an 8-byte load, so
-	// the hot path takes a single random memory access instead of two
-	// dependent ones. posOfPair maps a pool index back to its slot for the
-	// (colder) commit/release paths.
+	// slots interleaves each pair with its proposal state in the strata's
+	// Perm order (stratum k occupies [slotOff[k], slotOff[k+1]), matching the
+	// core sampler's within-stratum item order). A uniform pair draw indexes
+	// slots once: pair identity and state share an 8-byte load, so the hot
+	// path takes a single random memory access instead of two dependent
+	// ones. slotOff and posOfPair alias the strata's Off and Pos (read-only);
+	// posOfPair maps a pool index back to its slot for the (colder)
+	// commit/release paths. Only slots is per sampler.
 	slots     []pairSlot
 	slotOff   []int32
 	posOfPair []int32
@@ -250,54 +246,22 @@ const (
 // Stratification is a precomputed, immutable stratification of a pool,
 // produced by Stratify. It is a pure function of the pool's columns and the
 // strata-shaping options, so it can be cached and shared: every sampler
-// built over the same (pool, options) via NewSamplerStratified reuses it
-// instead of re-running the O(N log N) stratify. Treat it as read-only.
+// built over the same (pool, options) via NewSamplerStratified reads its
+// one stratum layout (an int32 permutation of the pool in stratum order,
+// its inverse and K+1 offsets) in place instead of re-running the
+// O(N log N) stratify. Treat it as read-only.
 type Stratification struct {
 	s *strata.Strata
-
-	protoOnce sync.Once
-	proto     samplerProto
-}
-
-// samplerProto is the shareable initial state of every sampler built over
-// one stratification: the core's flattened membership plus the
-// propose/commit slot template and the pair→slot map — all pure functions
-// of the Strata, read-only once built. With it, a warm sampler build is one
-// sequential slot-template copy instead of three O(N) scattered fills.
-type samplerProto struct {
-	fm        core.FlatMembers
-	slots     []pairSlot // template: every pair available
-	posOfPair []int32
-}
-
-// sharedProto builds (once) and returns the stratification's sampler
-// prototype.
-func (st *Stratification) sharedProto() *samplerProto {
-	st.protoOnce.Do(func() {
-		fm := core.Flatten(st.s)
-		slots := make([]pairSlot, len(fm.Members))
-		pos := make([]int32, len(fm.Members))
-		for i, pair := range fm.Members {
-			slots[i] = pairSlot{pair: pair, state: pairAvailable}
-			pos[pair] = int32(i)
-		}
-		st.proto = samplerProto{fm: fm, slots: slots, posOfPair: pos}
-	})
-	return &st.proto
 }
 
 // K returns the number of strata actually built (may be fewer than the
 // requested Options.Strata; see NewSampler).
 func (st *Stratification) K() int { return st.s.K() }
 
-// MemBytes estimates the stratification's resident size, for cache
-// accounting.
-func (st *Stratification) MemBytes() int64 {
-	// Items (one int per pool item plus a header per stratum), Assign (one
-	// int per item), four float64 columns per stratum, and the sampler
-	// prototype (flat members, slot template, pair→slot map: 16 bytes/item).
-	return int64(st.s.N())*32 + int64(st.s.K())*60
-}
+// MemBytes returns the bytes the stratification holds, for cache
+// accounting: 8 per pool pair (the permutation and its inverse) plus O(K)
+// offsets and per-stratum statistics.
+func (st *Stratification) MemBytes() int64 { return st.s.MemBytes() }
 
 // Stratify computes the stratification NewSampler builds internally for
 // (p, opts): CSF or equal-size per opts.Stratifier with the same option
@@ -339,8 +303,7 @@ func NewSampler(p *Pool, opts Options) (*Sampler, error) {
 // deterministic, and all randomness seeds from opts.Seed afterwards.
 func NewSamplerStratified(p *Pool, opts Options, st *Stratification) (*Sampler, error) {
 	opts = opts.WithDefaults()
-	proto := st.sharedProto()
-	inner, err := core.NewWithMembers(p.inner, st.s, core.Config{
+	inner, err := core.New(p.inner, st.s, core.Config{
 		Alpha:             opts.Alpha,
 		Epsilon:           opts.Epsilon,
 		PriorStrength:     opts.PriorStrength,
@@ -349,15 +312,18 @@ func NewSamplerStratified(p *Pool, opts Options, st *Stratification) (*Sampler, 
 		// The pool was validated when st was stratified (or, for store-resolved
 		// pools, when the columns were loaded and CRC/SHA-verified).
 		TrustedPool: true,
-	}, rng.New(opts.Seed), proto.fm)
+	}, rng.New(opts.Seed))
 	if err != nil {
 		return nil, err
 	}
 	out := &Sampler{
-		inner:  inner,
-		str:    st.s,
-		proto:  proto,
-		labels: make(map[int]bool),
+		inner:      inner,
+		str:        st.s,
+		slots:      make([]pairSlot, st.s.N()),
+		slotOff:    st.s.Off,
+		posOfPair:  st.s.Pos,
+		availCount: make([]int32, st.s.K()),
+		labels:     make(map[int]bool),
 	}
 	out.resetAvailability()
 	return out, nil
@@ -366,50 +332,19 @@ func NewSamplerStratified(p *Pool, opts Options, st *Stratification) (*Sampler, 
 // resetAvailability rebuilds the proposability accounting from the labels
 // cache, with no outstanding proposals: every unlabelled pair is available.
 func (s *Sampler) resetAvailability() {
-	n := s.str.N()
-	fresh := false // slots just built with every state already pairAvailable
-	if s.slots == nil {
-		s.availCount = make([]int32, s.str.K())
-		if s.proto != nil {
-			// Warm path: one sequential copy of the shared slot template;
-			// slotOff and posOfPair are read-only after init, so they alias
-			// the prototype outright.
-			s.slots = make([]pairSlot, n)
-			copy(s.slots, s.proto.slots)
-			s.slotOff = s.proto.fm.Off
-			s.posOfPair = s.proto.posOfPair
-			fresh = true
-		} else {
-			s.slots = make([]pairSlot, n)
-			s.slotOff = make([]int32, s.str.K()+1)
-			s.posOfPair = make([]int32, n)
-			pos := 0
-			for k, items := range s.str.Items {
-				s.slotOff[k] = int32(pos)
-				for _, pair := range items {
-					s.slots[pos] = pairSlot{pair: int32(pair), state: pairAvailable}
-					s.posOfPair[pair] = int32(pos)
-					pos++
-				}
-			}
-			s.slotOff[s.str.K()] = int32(pos)
-			fresh = true
-		}
-	}
-	if !fresh {
-		for i := range s.slots {
-			s.slots[i].state = pairAvailable
-		}
+	slots := s.slots[:len(s.str.Perm)]
+	for i, pair := range s.str.Perm {
+		slots[i] = pairSlot{pair: pair, state: pairAvailable}
 	}
 	s.pendingSlab = s.pendingSlab[:0]
 	s.extraDraws = nil
 	for k := range s.availCount {
-		s.availCount[k] = int32(len(s.str.Items[k]))
+		s.availCount[k] = int32(s.str.Size(k))
 	}
-	s.availTotal = n
+	s.availTotal = s.str.N()
 	for pair := range s.labels {
 		s.slots[s.posOfPair[pair]].state = pairLabelled
-		s.availCount[s.str.Assign[pair]]--
+		s.availCount[s.str.StratumOf(pair)]--
 		s.availTotal--
 	}
 	s.maskDirty = true
@@ -813,7 +748,7 @@ func (s *Sampler) ReplayCommit(pair int, label bool, terms []DrawTerm) error {
 	}
 	s.labels[pair] = label
 	s.slots[s.posOfPair[pair]].state = pairLabelled
-	s.availCount[s.str.Assign[pair]]--
+	s.availCount[s.str.StratumOf(pair)]--
 	s.availTotal--
 	s.maskDirty = true
 	return nil
@@ -829,8 +764,8 @@ func (s *Sampler) Release(pair int) bool {
 	if s.pairState(pair) < 0 {
 		return false
 	}
-	s.removePending(pair) // leaves the pair marked available
-	s.availCount[s.str.Assign[pair]]++
+	entry, _ := s.removePending(pair) // leaves the pair marked available
+	s.availCount[entry.stratum]++
 	s.availTotal++
 	s.maskDirty = true
 	return true
@@ -921,11 +856,12 @@ func (s *Sampler) RestoreState(st *SamplerState) error {
 			return fmt.Errorf("oasis: snapshot proposal for pair %d clashes with its label state", p.Pair)
 		}
 		seen[p.Pair] = true
-		if p.Stratum != s.str.Assign[p.Pair] || !(p.Weight > 0) || math.IsInf(p.Weight, 0) {
+		k := s.str.StratumOf(p.Pair)
+		if p.Stratum != k || !(p.Weight > 0) || math.IsInf(p.Weight, 0) {
 			return fmt.Errorf("oasis: snapshot proposal for pair %d has invalid draw {k:%d w:%v}", p.Pair, p.Stratum, p.Weight)
 		}
 		for _, e := range p.Extra {
-			if e.Stratum != s.str.Assign[p.Pair] || !(e.Weight > 0) || math.IsInf(e.Weight, 0) {
+			if e.Stratum != k || !(e.Weight > 0) || math.IsInf(e.Weight, 0) {
 				return fmt.Errorf("oasis: snapshot proposal for pair %d has invalid re-draw %+v", p.Pair, e)
 			}
 		}
@@ -1053,7 +989,7 @@ func NewStratifiedSampler(p *Pool, opts Options) (*Method, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := sampler.NewStratified(p.inner, s.Weights, s.MeanPred, s.Items, opts.Alpha, rng.New(opts.Seed))
+	m, err := sampler.NewStratified(p.inner, s, opts.Alpha, rng.New(opts.Seed))
 	if err != nil {
 		return nil, err
 	}

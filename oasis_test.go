@@ -247,6 +247,26 @@ func TestEqualSizeStratifierOption(t *testing.T) {
 	}
 }
 
+// TestStratificationMemBytes: a cached stratification costs at most 12 B
+// per pair on a 1M-pair, K=30 pool — its one layout is an int32 permutation
+// and its inverse (8 B per pair) plus O(K) — so the store's memory budget
+// charges what the strata actually hold.
+func TestStratificationMemBytes(t *testing.T) {
+	const n = 1_000_000
+	scores, preds, _, _ := syntheticScores(n, 21)
+	p, err := oasis.NewPool(scores, preds, oasis.CalibratedScores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := oasis.Stratify(p, oasis.Options{Strata: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := st.MemBytes(); b < 8*n || b > 12*n {
+		t.Errorf("MemBytes %d = %.2f B/pair, want within [8, 12]", b, float64(b)/n)
+	}
+}
+
 func TestStepAPI(t *testing.T) {
 	scores, preds, truth, _ := syntheticScores(2000, 15)
 	p, err := oasis.NewPool(scores, preds, oasis.CalibratedScores)
