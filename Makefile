@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check test test-stress race bench bench-json bench-smoke fuzz-smoke metrics-smoke trace-smoke diag-smoke serve serve-metrics example clean
+.PHONY: build vet fmt-check test test-stress race bench bench-json bench-smoke fuzz-smoke metrics-smoke trace-smoke diag-smoke serve serve-metrics example examples clean
 
 build:
 	$(GO) build ./...
@@ -108,6 +108,14 @@ serve-metrics:
 # End-to-end demo: in-process server + concurrent HTTP labelling workers.
 example:
 	$(GO) run ./examples/serverclient
+
+# Library examples (CI runs the same): each drives the public Run,
+# baseline and erbench API; any non-zero exit fails the target.
+examples:
+	@for e in quickstart dedup noisyoracle ecommerce; do \
+		echo "== examples/$$e"; \
+		$(GO) run ./examples/$$e || exit 1; \
+	done
 
 clean:
 	rm -rf bench-json.out oasis-wal

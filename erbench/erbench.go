@@ -10,6 +10,7 @@
 package erbench
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -447,42 +448,56 @@ type DiagSnapshot struct {
 	Final oasis.Health
 }
 
-// RunDiagnostics runs one OASIS trajectory to cfg.Budget on the pool,
-// folding an estimator-health point into a capacity-point downsampling ring
-// every `every` labels (0 records after every label batch of 1), and
-// returns the snapshot. capacity <= 0 selects the ring default. Unlike
-// RunConvergence it needs no ground truth beyond the oracle — it measures
-// exactly what a live session's diagnostics endpoint would show, so paper
-// datasets can be profiled for threshold tuning.
+// RunDiagnostics runs one OASIS trajectory to cfg.Budget on the pool the
+// way a live session does: each round proposes min(every, labels left)
+// pairs with ProposeBatch (every <= 0 means 1), labels them through the
+// oracle, commits them with CommitLabel and folds one estimator-health
+// point into a capacity-point downsampling ring (capacity <= 0 selects the
+// ring default). It returns the snapshot. Unlike RunConvergence it needs no
+// ground truth beyond the oracle — it measures exactly what a live
+// session's diagnostics endpoint would show at the same batch size, so
+// paper datasets can be profiled for threshold tuning.
 func RunDiagnostics(b *BuiltPool, cfg HarnessConfig, every, capacity int) (*DiagSnapshot, error) {
 	cfg = cfg.withDefaults()
 	if every <= 0 {
 		every = 1
 	}
-	s, err := oasis.NewSampler(b.Pool, oasis.Options{
-		Alpha:         cfg.Alpha,
-		Strata:        cfg.Strata,
-		Epsilon:       cfg.Epsilon,
-		PriorStrength: cfg.PriorStrength,
-		Seed:          cfg.Seed,
-	})
+	opts := oasis.Options{
+		Alpha:             cfg.Alpha,
+		Strata:            cfg.Strata,
+		Epsilon:           cfg.Epsilon,
+		PriorStrength:     cfg.PriorStrength,
+		NoPriorDecay:      cfg.NoPriorDecay,
+		PosteriorEstimate: cfg.PosteriorEstimate,
+		Seed:              cfg.Seed,
+	}
+	if cfg.EqualSizeStrata {
+		opts.Stratifier = oasis.EqualSizeStratifier
+	}
+	s, err := oasis.NewSampler(b.Pool, opts)
 	if err != nil {
 		return nil, err
 	}
 	orc := b.Oracle(cfg.Seed ^ 0xabcdef)
 	tracker := diag.NewTracker(capacity, diag.DefaultThresholds)
-	for consumed := 0; consumed < cfg.Budget; {
-		chunk := every
-		if rest := cfg.Budget - consumed; chunk > rest {
-			chunk = rest
-		}
-		if _, err := s.Run(orc, chunk); err != nil {
+	for s.LabelsCommitted() < cfg.Budget {
+		// ErrExhausted comes with the partial batch drawn before the pool
+		// ran out of unlabelled pairs; an empty batch ends the run.
+		pairs, err := s.ProposeBatch(min(every, cfg.Budget-s.LabelsCommitted()))
+		if err != nil && !errors.Is(err, oasis.ErrExhausted) {
 			return nil, err
 		}
-		consumed += chunk
+		if len(pairs) == 0 {
+			break
+		}
+		for _, pair := range pairs {
+			if err := s.CommitLabel(pair, orc(pair)); err != nil {
+				return nil, err
+			}
+		}
 		h := s.Health()
 		tracker.Record(diag.Point{
-			Labels:   consumed,
+			Labels:   s.LabelsCommitted(),
 			Estimate: diag.Float(h.Estimate),
 			Variance: diag.Float(h.AsymptoticVariance),
 			ESSRatio: diag.Float(h.ESSRatio),

@@ -1,8 +1,13 @@
 package erbench
 
 import (
+	"errors"
 	"math"
 	"testing"
+
+	"oasis"
+	"oasis/internal/diag"
+	"oasis/internal/session"
 )
 
 func TestDatasetNames(t *testing.T) {
@@ -255,4 +260,83 @@ func TestRunDiagnostics(t *testing.T) {
 	if snap.State == "" || snap.Final.Terms <= 0 {
 		t.Errorf("state %q terms %d", snap.State, snap.Final.Terms)
 	}
+}
+
+// TestRunDiagnosticsMatchesSession: RunDiagnostics must record what a live
+// session records over the same pool with the same options, seed, oracle
+// and batch size — the same series (wall clock aside) and the same final
+// health — for the default options and for the ablation fields.
+func TestRunDiagnosticsMatchesSession(t *testing.T) {
+	b := buildSmall(t, "Abt-Buy", false)
+	inner := b.Pool.Internal()
+	const budget, every, ring = 120, 4, 16
+	for _, cfg := range []HarnessConfig{
+		{Budget: budget, Strata: 8, Seed: 11},
+		{Budget: budget, Strata: 8, Seed: 11, NoPriorDecay: true, EqualSizeStrata: true},
+	} {
+		snap, err := RunDiagnostics(b, cfg, every, ring)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		opts := oasis.Options{Strata: cfg.Strata, Seed: cfg.Seed, NoPriorDecay: cfg.NoPriorDecay}
+		if cfg.EqualSizeStrata {
+			opts.Stratifier = oasis.EqualSizeStratifier
+		}
+		m := session.NewManager(session.ManagerOptions{
+			Diag: session.DiagOptions{SeriesCapacity: ring, Logf: func(string, ...any) {}},
+		})
+		s, err := m.Create(session.Config{
+			Scores: inner.Scores, Preds: inner.Preds, Calibrated: inner.Probabilistic,
+			Threshold: inner.Threshold, Options: opts, Budget: budget,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		orc := b.Oracle(cfg.Seed ^ 0xabcdef)
+		for {
+			props, err := s.Propose(every)
+			if errors.Is(err, session.ErrBudgetExhausted) {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			pairs := make([]int, len(props))
+			labels := make([]bool, len(props))
+			for i, pr := range props {
+				pairs[i], labels[i] = pr.Pair, orc(pr.Pair)
+			}
+			if _, err := s.CommitBatch(pairs, labels); err != nil {
+				t.Fatal(err)
+			}
+		}
+		live := s.Diagnostics()
+
+		if len(snap.Series) != len(live.Series) || snap.Seen != live.SeriesSeen || snap.Stride != live.SeriesStride {
+			t.Fatalf("%+v: offline series %d points (seen %d, stride %d), live %d (seen %d, stride %d)",
+				cfg, len(snap.Series), snap.Seen, snap.Stride, len(live.Series), live.SeriesSeen, live.SeriesStride)
+		}
+		for i, got := range snap.Series {
+			want := live.Series[i]
+			if got.Seq != want.Seq || got.Labels != want.Labels || got.Terms != want.Terms ||
+				!sameFloat(got.Estimate, want.Estimate) || !sameFloat(got.Variance, want.Variance) ||
+				!sameFloat(got.ESSRatio, want.ESSRatio) {
+				t.Fatalf("%+v: point %d offline %+v, live %+v", cfg, i, got, want)
+			}
+		}
+		if snap.State != live.State || snap.Final.Terms != live.Terms ||
+			!sameFloat(diag.Float(snap.Final.Estimate), live.Estimate) ||
+			!sameFloat(diag.Float(snap.Final.AsymptoticVariance), live.Variance) ||
+			!sameFloat(diag.Float(snap.Final.ESSRatio), live.ESSRatio) {
+			t.Errorf("%+v: final offline %s %+v, live %s terms %d F %v var %v ess %v", cfg, snap.State, snap.Final,
+				live.State, live.Terms, live.Estimate, live.Variance, live.ESSRatio)
+		}
+	}
+}
+
+// sameFloat reports bit-equal values, treating every NaN as equal.
+func sameFloat(a, b diag.Float) bool {
+	x, y := float64(a), float64(b)
+	return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
 }

@@ -28,10 +28,7 @@ func benchSampler(b *testing.B, n int) *Sampler {
 		b.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		d, err := o.Draw()
-		if err != nil {
-			b.Fatal(err)
-		}
+		d := o.Draw()
 		o.Commit(d, p.TruthProb[d.Pair] >= 0.5)
 	}
 	return o
@@ -45,9 +42,7 @@ func BenchmarkDraw(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := o.Draw(); err != nil {
-			b.Fatal(err)
-		}
+		o.Draw()
 	}
 }
 
@@ -60,10 +55,7 @@ func BenchmarkDrawCommit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, err := o.Draw()
-		if err != nil {
-			b.Fatal(err)
-		}
+		d := o.Draw()
 		o.Commit(d, preds[d.Pair] >= 0.5)
 	}
 }

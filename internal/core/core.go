@@ -29,9 +29,9 @@ import (
 	"time"
 
 	"oasis/internal/estimator"
-	"oasis/internal/oracle"
 	"oasis/internal/pool"
 	"oasis/internal/rng"
+	"oasis/internal/sampler"
 	"oasis/internal/strata"
 )
 
@@ -79,8 +79,9 @@ func (c *Config) defaults(k int) {
 	}
 }
 
-// Sampler is the OASIS sampler/estimator. Create with New, then call Step
-// repeatedly; Estimate returns the current F̂ at any time.
+// Sampler is the OASIS sampler/estimator, a sampler.Method. Create with New,
+// then alternate Draw and Commit (sampler.Run does so for a label budget);
+// Estimate returns the current F̂ at any time.
 type Sampler struct {
 	pool *pool.Pool
 	str  *strata.Strata
@@ -224,13 +225,7 @@ func (o *Sampler) K() int { return o.str.K() }
 // InitialF returns the score-based initial estimate F̂(0) of Algorithm 2.
 func (o *Sampler) InitialF() float64 { return o.fInit }
 
-// InitialPi returns π̂(0), the score-based initial oracle-probability
-// estimates (one per stratum).
-func (o *Sampler) InitialPi() []float64 {
-	return append([]float64(nil), o.piInit...)
-}
-
-// Iterations returns the number of Step calls made so far.
+// Iterations returns the number of Commit calls made so far.
 func (o *Sampler) Iterations() int { return o.iterations }
 
 // PosteriorMean writes the current posterior mean π̂(t) (Eqn. 11) into dst,
@@ -411,23 +406,6 @@ func (o *Sampler) InstrumentalCached() []float64 {
 	return o.v
 }
 
-// Draw is one with-replacement draw from the instrumental distribution,
-// carrying everything needed to later fold a label into the estimate: the
-// drawn pair, its stratum, and the importance weight w = ω_k / v_k frozen at
-// draw time (Algorithm 3 line 6). Separating the draw from the label lets
-// callers batch proposals and apply labels asynchronously (the session
-// subsystem's propose/commit protocol) without changing the estimator: each
-// draw's weight uses the instrumental distribution that produced it, exactly
-// as in the sequential algorithm.
-type Draw struct {
-	// Pair is the drawn pool index.
-	Pair int
-	// Stratum is the stratum the pair was drawn from.
-	Stratum int
-	// Weight is the importance weight ω_k / v_k at draw time.
-	Weight float64
-}
-
 // Draw draws one pair from the current instrumental distribution (stratum
 // k* ~ v(t), pair uniform within P_k*) WITHOUT querying the oracle or
 // touching any estimator state. Pair it with Commit once the label arrives.
@@ -436,13 +414,13 @@ type Draw struct {
 // zero allocations — and the draw sequence is bit-for-bit identical to
 // rebuilding v and inverse-CDF-scanning it on every call, the unoptimized
 // sequential Algorithm 3 (see TestGoldenSequence).
-func (o *Sampler) Draw() (Draw, error) {
+func (o *Sampler) Draw() sampler.Draw {
 	kStar, w := o.DrawStratum()
-	return Draw{
+	return sampler.Draw{
 		Pair:    o.UniformPair(kStar),
 		Stratum: kStar,
 		Weight:  w,
-	}, nil
+	}
 }
 
 // DrawStratum draws stratum k* ~ v(t) through the cached prepared sampler
@@ -472,7 +450,7 @@ func (o *Sampler) Rand() *rng.RNG { return o.rng }
 // posterior update of Algorithm 3 line 9 and the AIS estimate update of
 // line 11. Draws may be committed in any order and at any later time; the
 // importance weight was frozen when the draw was made.
-func (o *Sampler) Commit(d Draw, label bool) {
+func (o *Sampler) Commit(d sampler.Draw, label bool) {
 	o.iterations++
 	// The posterior and the running estimate are about to change, so the
 	// cached v(t) (and everything derived from it) goes stale.
@@ -513,33 +491,12 @@ func (o *Sampler) StratumStats(draws []int64, sumW, sumW2 []float64) ([]int64, [
 	return draws, sumW, sumW2
 }
 
-// Step performs one iteration of Algorithm 3: recompute v(t), draw a
-// stratum and a pair, query the oracle, update the Beta posterior and the
-// AIS estimate. It returns oracle.ErrBudgetExhausted if the draw required a
-// fresh label beyond the budget.
-func (o *Sampler) Step(b *oracle.Budgeted) error {
-	d, err := o.Draw()
-	if err != nil {
-		return err
-	}
-	label, err := b.TryLabel(d.Pair)
-	if err != nil {
-		return err
-	}
-	o.Commit(d, label)
-	return nil
-}
-
 // Estimate returns the current F̂: the AIS estimate once defined (or the
 // posterior plug-in in PosteriorEstimate mode), otherwise the score-based
 // initial estimate (the τ=0 term of Algorithm 3 line 11).
 func (o *Sampler) Estimate() float64 {
 	return o.currentF()
 }
-
-// AISEstimate returns the importance-weighted estimate of Eqn. (3)
-// regardless of the configured reporting mode (NaN while undefined).
-func (o *Sampler) AISEstimate() float64 { return o.est.Estimate() }
 
 // Estimator exposes the underlying AIS estimator for health diagnostics
 // (ESS, asymptotic variance). Callers must not mutate it.

@@ -8,8 +8,31 @@ import (
 	"oasis/internal/oracle"
 	"oasis/internal/pool"
 	"oasis/internal/rng"
+	"oasis/internal/sampler"
 	"oasis/internal/strata"
 )
+
+// step is one iteration of Algorithm 3 as sampler.Run makes it: draw, label
+// the pair through the run's label cache (the oracle is asked once per
+// pair), commit. The tests below count draws, not labels, and some draw more
+// often than their pool has pairs, so they loop over step themselves.
+func step(o *Sampler, orc oracle.Oracle, cache map[int]bool) {
+	d := o.Draw()
+	label, ok := cache[d.Pair]
+	if !ok {
+		label = orc.Label(d.Pair)
+		cache[d.Pair] = label
+	}
+	o.Commit(d, label)
+}
+
+// steps makes n iterations of step with a fresh label cache.
+func steps(o *Sampler, orc oracle.Oracle, n int) {
+	cache := make(map[int]bool)
+	for i := 0; i < n; i++ {
+		step(o, orc, cache)
+	}
+}
 
 // makePool builds an imbalanced pool with a controllable relationship
 // between score and truth: truth probability equals the score, matching the
@@ -80,7 +103,7 @@ func TestInitialEstimates(t *testing.T) {
 	if math.IsNaN(f0) || f0 < 0 || f0 > 1 {
 		t.Fatalf("F̂(0) = %v", f0)
 	}
-	pi0 := o.InitialPi()
+	pi0 := o.piInit
 	if len(pi0) != o.K() {
 		t.Fatalf("π̂(0) length %d, K %d", len(pi0), o.K())
 	}
@@ -117,15 +140,14 @@ func TestEpsilonGreedyLowerBound(t *testing.T) {
 	p := makePool(3000, 200, 7)
 	eps := 0.01
 	o := newOASIS(t, p, 30, Config{Alpha: 0.5, Epsilon: eps}, 8)
-	b := oracle.NewBudgeted(oracle.FromProbs(p.TruthProb, rng.New(9)), 0)
-	for step := 0; step < 500; step++ {
-		if err := o.Step(b); err != nil {
-			t.Fatal(err)
-		}
+	orc := oracle.FromProbs(p.TruthProb, rng.New(9))
+	cache := make(map[int]bool)
+	for i := 0; i < 500; i++ {
+		step(o, orc, cache)
 		v := o.Instrumental(nil)
 		for k, q := range v {
 			if q < eps*o.str.Weights[k]-1e-12 {
-				t.Fatalf("step %d: v[%d]=%v below ε·ω=%v", step, k, q, eps*o.str.Weights[k])
+				t.Fatalf("step %d: v[%d]=%v below ε·ω=%v", i, k, q, eps*o.str.Weights[k])
 			}
 		}
 	}
@@ -142,12 +164,7 @@ func TestOASISConvergesCalibrated(t *testing.T) {
 	const runs = 10
 	for run := 0; run < runs; run++ {
 		o := newOASIS(t, p, 30, Config{Alpha: 0.5}, 100+uint64(run))
-		b := oracle.NewBudgeted(oracle.FromProbs(p.TruthProb, rng.New(200+uint64(run))), 0)
-		for step := 0; step < 4000; step++ {
-			if err := o.Step(b); err != nil {
-				t.Fatal(err)
-			}
-		}
+		steps(o, oracle.FromProbs(p.TruthProb, rng.New(200+uint64(run))), 4000)
 		errSum += math.Abs(o.Estimate() - trueF)
 	}
 	if mean := errSum / runs; mean > 0.05 {
@@ -181,12 +198,7 @@ func TestOASISConvergesUncalibrated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := oracle.NewBudgeted(oracle.FromProbs(raw.TruthProb, rng.New(400+uint64(run))), 0)
-		for step := 0; step < 4000; step++ {
-			if err := o.Step(b); err != nil {
-				t.Fatal(err)
-			}
-		}
+		steps(o, oracle.FromProbs(raw.TruthProb, rng.New(400+uint64(run))), 4000)
 		errSum += math.Abs(o.Estimate() - trueF)
 	}
 	if mean := errSum / runs; mean > 0.06 {
@@ -230,12 +242,7 @@ func TestOASISConvergesNoisyOracle(t *testing.T) {
 		// No caching correctness issue: each pair keeps one realised label
 		// per run, matching how a crowd answers once. The estimator then
 		// targets the realised-label F, which concentrates around trueF.
-		b := oracle.NewBudgeted(oracle.NewBernoulli(p.TruthProb, rng.New(600+uint64(run))), 0)
-		for step := 0; step < 6000; step++ {
-			if err := o.Step(b); err != nil {
-				t.Fatal(err)
-			}
-		}
+		steps(o, oracle.NewBernoulli(p.TruthProb, rng.New(600+uint64(run))), 6000)
 		errSum += math.Abs(o.Estimate() - trueF)
 	}
 	if mean := errSum / runs; mean > 0.08 {
@@ -257,12 +264,7 @@ func TestPrecisionAndRecallTargets(t *testing.T) {
 		const runs = 8
 		for run := 0; run < runs; run++ {
 			o := newOASIS(t, p, 30, Config{Alpha: tc.alpha}, 700+uint64(run))
-			b := oracle.NewBudgeted(oracle.FromProbs(p.TruthProb, rng.New(800+uint64(run))), 0)
-			for step := 0; step < 4000; step++ {
-				if err := o.Step(b); err != nil {
-					t.Fatal(err)
-				}
-			}
+			steps(o, oracle.FromProbs(p.TruthProb, rng.New(800+uint64(run))), 4000)
 			errSum += math.Abs(o.Estimate() - tc.want)
 		}
 		if mean := errSum / runs; mean > 0.05 {
@@ -275,12 +277,7 @@ func TestPosteriorUpdates(t *testing.T) {
 	p := makePool(1000, 20, 14)
 	o := newOASIS(t, p, 10, Config{Alpha: 0.5, PriorStrength: 2}, 15)
 	before := o.PosteriorMean(nil)
-	b := oracle.NewBudgeted(oracle.FromProbs(p.TruthProb, rng.New(16)), 0)
-	for step := 0; step < 200; step++ {
-		if err := o.Step(b); err != nil {
-			t.Fatal(err)
-		}
-	}
+	steps(o, oracle.FromProbs(p.TruthProb, rng.New(16)), 200)
 	after := o.PosteriorMean(nil)
 	changed := false
 	for k := range before {
@@ -319,16 +316,11 @@ func TestPosteriorMeanMatchesBetaFormula(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi0 := o.InitialPi()[0]
-	b := oracle.NewBudgeted(oracle.FromProbs(p.TruthProb, rng.New(18)), 0)
-	const steps = 25
-	for i := 0; i < steps; i++ {
-		if err := o.Step(b); err != nil {
-			t.Fatal(err)
-		}
-	}
+	pi0 := o.piInit[0]
+	const draws = 25
+	steps(o, oracle.FromProbs(p.TruthProb, rng.New(18)), draws)
 	// All labels are matches: posterior mean = (η·π0 + 25)/(η + 25).
-	want := (eta*pi0 + steps) / (eta + steps)
+	want := (eta*pi0 + draws) / (eta + draws)
 	got := o.PosteriorMean(nil)[0]
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("posterior mean %v, want %v", got, want)
@@ -340,14 +332,9 @@ func TestPosteriorMeanMatchesBetaFormula(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bd := oracle.NewBudgeted(oracle.FromProbs(p.TruthProb, rng.New(18)), 0)
-	for i := 0; i < steps; i++ {
-		if err := od.Step(bd); err != nil {
-			t.Fatal(err)
-		}
-	}
-	decayFactor := 1.0 / (1 + steps)
-	wantDecay := (eta*pi0*decayFactor + steps) / (eta*decayFactor + steps)
+	steps(od, oracle.FromProbs(p.TruthProb, rng.New(18)), draws)
+	decayFactor := 1.0 / (1 + draws)
+	wantDecay := (eta*pi0*decayFactor + draws) / (eta*decayFactor + draws)
 	gotDecay := od.PosteriorMean(nil)[0]
 	if math.Abs(gotDecay-wantDecay) > 1e-9 {
 		t.Errorf("decayed posterior mean %v, want %v", gotDecay, wantDecay)
@@ -376,12 +363,7 @@ func TestPriorDecay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := oracle.NewBudgeted(oracle.FromProbs(p.TruthProb, rng.New(20)), 0)
-		for i := 0; i < 30; i++ {
-			if err := o.Step(b); err != nil {
-				t.Fatal(err)
-			}
-		}
+		steps(o, oracle.FromProbs(p.TruthProb, rng.New(20)), 30)
 		return o.PosteriorMean(nil)[0] // true value is 0
 	}
 	if withDecay, without := run(true), run(false); withDecay >= without {
@@ -427,38 +409,18 @@ func TestOASISBeatsPassiveVariance(t *testing.T) {
 	var oasisSq, passiveSq float64
 	for run := 0; run < runs; run++ {
 		o := newOASIS(t, p, 30, Config{Alpha: 0.5}, 1000+uint64(run))
-		b := oracle.NewBudgeted(oracle.FromProbs(p.TruthProb, rng.New(2000+uint64(run))), budget)
-		for b.Consumed() < budget {
-			if err := o.Step(b); err != nil {
-				break
-			}
+		if _, _, err := sampler.Run(o, oracle.FromProbs(p.TruthProb, rng.New(2000+uint64(run))), budget, nil); err != nil {
+			t.Fatal(err)
 		}
 		d := o.Estimate() - trueF
 		oasisSq += d * d
 
-		r := rng.New(3000 + uint64(run))
-		bp := oracle.NewBudgeted(oracle.FromProbs(p.TruthProb, rng.New(4000+uint64(run))), budget)
-		est := 0.0
-		var tp, fp, fn float64
-		for bp.Consumed() < budget {
-			i := r.Intn(p.N())
-			label, err := bp.TryLabel(i)
-			if err != nil {
-				break
-			}
-			switch {
-			case label && p.Preds[i]:
-				tp++
-			case !label && p.Preds[i]:
-				fp++
-			case label && !p.Preds[i]:
-				fn++
-			}
+		passive := sampler.NewPassive(p, 0.5, rng.New(3000+uint64(run)))
+		if _, _, err := sampler.Run(passive, oracle.FromProbs(p.TruthProb, rng.New(4000+uint64(run))), budget, nil); err != nil {
+			t.Fatal(err)
 		}
-		den := 0.5*(tp+fp) + 0.5*(tp+fn)
-		if den > 0 {
-			est = tp / den
-		} else {
+		est := passive.Estimate()
+		if math.IsNaN(est) {
 			est = 0 // count undefined as maximal error contribution
 		}
 		dp := est - trueF
@@ -496,12 +458,7 @@ func TestDeterministicRuns(t *testing.T) {
 	p := makePool(5000, 50, 23)
 	run := func() float64 {
 		o := newOASIS(t, p, 20, Config{Alpha: 0.5}, 42)
-		b := oracle.NewBudgeted(oracle.FromProbs(p.TruthProb, rng.New(43)), 0)
-		for i := 0; i < 500; i++ {
-			if err := o.Step(b); err != nil {
-				t.Fatal(err)
-			}
-		}
+		steps(o, oracle.FromProbs(p.TruthProb, rng.New(43)), 500)
 		return o.Estimate()
 	}
 	if a, b := run(), run(); a != b {
@@ -509,23 +466,33 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
+// TestBudgetExhaustion checks that sampler.Run stops OASIS exactly at its
+// label budget: the oracle is asked once per distinct pair, never past the
+// budget, and every draw is committed.
 func TestBudgetExhaustion(t *testing.T) {
 	p := makePool(1000, 20, 24)
 	o := newOASIS(t, p, 10, Config{Alpha: 0.5}, 25)
-	b := oracle.NewBudgeted(oracle.FromProbs(p.TruthProb, rng.New(26)), 5)
-	exhausted := false
-	for i := 0; i < 10000; i++ {
-		if err := o.Step(b); err == oracle.ErrBudgetExhausted {
-			exhausted = true
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
+	asked := 0
+	orc := oracle.FromProbs(p.TruthProb, rng.New(26))
+	labels, draws, err := sampler.Run(o, countOracle{orc, &asked}, 5, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !exhausted {
-		t.Error("expected budget exhaustion")
+	if labels != 5 || asked != 5 {
+		t.Errorf("labels %d, oracle asked %d times; want 5 and 5", labels, asked)
 	}
-	if b.Consumed() != 5 {
-		t.Errorf("consumed %d, want 5", b.Consumed())
+	if draws < labels || o.Iterations() != draws {
+		t.Errorf("draws %d, commits %d", draws, o.Iterations())
 	}
+}
+
+// countOracle counts the queries that reach its oracle.
+type countOracle struct {
+	oracle.Oracle
+	n *int
+}
+
+func (c countOracle) Label(i int) bool {
+	*c.n++
+	return c.Oracle.Label(i)
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"oasis/internal/rng"
+	"oasis/internal/sampler"
 	"oasis/internal/strata"
 )
 
@@ -31,7 +32,7 @@ func refMembers(s *strata.Strata) [][]int {
 // stratum with the per-call-validated linear inverse-CDF scan and the pair
 // uniformly from the stratum's member list (from refMembers). It bypasses
 // every cache.
-func refDraw(t *testing.T, o *Sampler, members [][]int) Draw {
+func refDraw(t *testing.T, o *Sampler, members [][]int) sampler.Draw {
 	t.Helper()
 	o.computeV()
 	kStar, err := o.rng.Categorical(o.v)
@@ -39,14 +40,14 @@ func refDraw(t *testing.T, o *Sampler, members [][]int) Draw {
 		t.Fatal(err)
 	}
 	i := members[kStar][o.rng.Intn(len(members[kStar]))]
-	return Draw{
+	return sampler.Draw{
 		Pair:    i,
 		Stratum: kStar,
 		Weight:  o.str.Weights[kStar] / o.v[kStar],
 	}
 }
 
-func requireSameDraw(t *testing.T, step int, opt, ref Draw) {
+func requireSameDraw(t *testing.T, step int, opt, ref sampler.Draw) {
 	t.Helper()
 	if opt != ref {
 		t.Fatalf("step %d: optimized draw %+v != reference draw %+v", step, opt, ref)
@@ -76,10 +77,7 @@ func TestGoldenSequence(t *testing.T) {
 	// Phase 1: the fully adaptive regime — every draw is committed, so the
 	// cache is invalidated and rebuilt once per step.
 	for step := 0; step < 300; step++ {
-		d, err := opt.Draw()
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := opt.Draw()
 		rd := refDraw(t, ref, members)
 		requireSameDraw(t, step, d, rd)
 		opt.Commit(d, label(d.Pair))
@@ -91,10 +89,7 @@ func TestGoldenSequence(t *testing.T) {
 	// one; the reference rebuilds v each time. If any commit-free code path
 	// mutated the posterior, the sequences would split here.
 	for step := 0; step < 500; step++ {
-		d, err := opt.Draw()
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := opt.Draw()
 		requireSameDraw(t, step, d, refDraw(t, ref, members))
 	}
 
@@ -104,18 +99,13 @@ func TestGoldenSequence(t *testing.T) {
 	st := opt.State()
 	resumed := newSampler(123456) // different seed: Restore must overwrite it
 	for i := 0; i < 7; i++ {      // desync its caches and stream first
-		if d, err := resumed.Draw(); err == nil {
-			resumed.Commit(d, i%2 == 0)
-		}
+		resumed.Commit(resumed.Draw(), i%2 == 0)
 	}
 	if err := resumed.Restore(st); err != nil {
 		t.Fatal(err)
 	}
 	for step := 0; step < 300; step++ {
-		d, err := resumed.Draw()
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := resumed.Draw()
 		rd := refDraw(t, ref, members)
 		requireSameDraw(t, step, d, rd)
 		resumed.Commit(d, label(d.Pair))
@@ -150,10 +140,7 @@ func TestGoldenSequencePosteriorEstimate(t *testing.T) {
 	}
 	members := refMembers(s)
 	for step := 0; step < 400; step++ {
-		d, err := opt.Draw()
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := opt.Draw()
 		rd := refDraw(t, ref, members)
 		requireSameDraw(t, step, d, rd)
 		lab := p.TruthProb[d.Pair] >= 0.5
@@ -178,7 +165,7 @@ func TestDrawStratumWeightMatchesInstrumental(t *testing.T) {
 			t.Fatalf("step %d: weight %v, want ω/v = %v", step, w, want)
 		}
 		if step%3 == 0 {
-			o.Commit(Draw{Pair: o.UniformPair(k), Stratum: k, Weight: w}, step%6 == 0)
+			o.Commit(sampler.Draw{Pair: o.UniformPair(k), Stratum: k, Weight: w}, step%6 == 0)
 		}
 	}
 }

@@ -1,11 +1,13 @@
 package experiment
 
 import (
+	"errors"
 	"math"
 
 	"oasis/internal/core"
 	"oasis/internal/oracle"
 	"oasis/internal/pool"
+	"oasis/internal/sampler"
 	"oasis/internal/stats"
 	"oasis/internal/strata"
 )
@@ -29,7 +31,7 @@ type Convergence struct {
 
 // RunConvergence runs one OASIS trajectory against the pool's ground-truth
 // oracle, recording diagnostics every `every` distinct labels (minimum 1).
-// It stops after `budget` labels.
+// It stops after `budget` labels, or earlier at sampler.Run's draw cap.
 func RunConvergence(o *core.Sampler, p *pool.Pool, s *strata.Strata,
 	alpha float64, budget, every int, orc oracle.Oracle) (*Convergence, error) {
 	if every < 1 {
@@ -42,10 +44,9 @@ func RunConvergence(o *core.Sampler, p *pool.Pool, s *strata.Strata,
 	truePi := core.TruePi(p, s)
 	trueV := core.TrueOptimalV(p, s, alpha)
 
-	b := oracle.NewBudgeted(orc, budget)
 	conv := &Convergence{}
-	record := func() error {
-		conv.Labels = append(conv.Labels, b.Consumed())
+	record := func(labels int) error {
+		conv.Labels = append(conv.Labels, labels)
 		conv.FError = append(conv.FError, math.Abs(o.Estimate()-trueF))
 		pi := o.PosteriorMean(nil)
 		conv.PiError = append(conv.PiError, stats.MeanAbs(sub(pi, truePi)))
@@ -60,28 +61,20 @@ func RunConvergence(o *core.Sampler, p *pool.Pool, s *strata.Strata,
 	}
 
 	nextRecord := every
-	maxIters := maxIterFactor*budget + 1000
-	iters := 0
-	for b.Consumed() < budget && iters < maxIters {
-		before := b.Consumed()
-		err := o.Step(b)
-		if err == oracle.ErrBudgetExhausted {
-			break
+	labels, _, err := sampler.Run(o, orc, budget, func(labels int) error {
+		if labels < nextRecord {
+			return nil
 		}
-		if err != nil {
-			return nil, err
-		}
-		iters++
-		if b.Consumed() > before && b.Consumed() >= nextRecord {
-			if err := record(); err != nil {
-				return nil, err
-			}
-			nextRecord = b.Consumed() + every
-		}
+		nextRecord = labels + every
+		return record(labels)
+	})
+	// A stalled run ends early; its diagnostics up to the stall stand.
+	if err != nil && !errors.Is(err, sampler.ErrStalled) {
+		return nil, err
 	}
 	// Final state.
-	if len(conv.Labels) == 0 || conv.Labels[len(conv.Labels)-1] != b.Consumed() {
-		if err := record(); err != nil {
+	if len(conv.Labels) == 0 || conv.Labels[len(conv.Labels)-1] != labels {
+		if err := record(labels); err != nil {
 			return nil, err
 		}
 	}

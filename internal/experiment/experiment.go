@@ -40,59 +40,33 @@ type RunResult struct {
 	Estimates []float64
 	// LabelsConsumed is the total distinct labels used.
 	LabelsConsumed int
-	// Iterations is the number of sampler steps taken.
+	// Iterations is the number of draws taken.
 	Iterations int
 	// Duration is the wall-clock time of the sampling loop.
 	Duration time.Duration
 }
 
-// ErrStalled is returned when a method stops consuming budget (safety cap on
-// iterations exceeded).
-var ErrStalled = errors.New("experiment: method stalled before exhausting the label budget")
-
-// maxIterFactor bounds iterations at maxIterFactor × budget; with-replacement
-// sampling revisits cached pairs, but a method that revisits this often is
-// effectively stalled.
-const maxIterFactor = 200
-
 // RunOne runs method m against the oracle o until `budget` distinct labels
-// are consumed (or the pool is exhausted), recording the estimate at each
-// checkpoint. Checkpoints must be sorted ascending.
+// are consumed, recording the estimate at each checkpoint. Checkpoints must
+// be sorted ascending. A run that hits sampler.Run's draw cap returns its
+// partial trajectory with sampler.ErrStalled.
 func RunOne(m sampler.Method, o oracle.Oracle, budget int, checkpoints []int) (*RunResult, error) {
-	b := oracle.NewBudgeted(o, budget)
 	res := &RunResult{Estimates: make([]float64, len(checkpoints))}
 	for i := range res.Estimates {
 		res.Estimates[i] = math.NaN()
 	}
 	next := 0
-	maxIters := maxIterFactor*budget + 1000
 	start := time.Now()
-	for b.Consumed() < budget {
-		if res.Iterations >= maxIters {
-			res.Duration = time.Since(start)
-			res.LabelsConsumed = b.Consumed()
-			return res, ErrStalled
+	labels, draws, err := sampler.Run(m, o, budget, func(labels int) error {
+		for next < len(checkpoints) && checkpoints[next] <= labels {
+			res.Estimates[next] = m.Estimate()
+			next++
 		}
-		before := b.Consumed()
-		err := m.Step(b)
-		if err == oracle.ErrBudgetExhausted {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		res.Iterations++
-		if b.Consumed() > before {
-			consumed := b.Consumed()
-			for next < len(checkpoints) && checkpoints[next] <= consumed {
-				res.Estimates[next] = m.Estimate()
-				next++
-			}
-		}
-	}
+		return nil
+	})
 	res.Duration = time.Since(start)
-	res.LabelsConsumed = b.Consumed()
-	return res, nil
+	res.LabelsConsumed, res.Iterations = labels, draws
+	return res, err
 }
 
 // Curves aggregates many runs of one method.
@@ -202,7 +176,7 @@ func Run(f Factory, p *pool.Pool, alpha float64, cfg Config) (*Curves, error) {
 			// Oracle stream independent of the method stream.
 			o := oracle.FromProbs(p.TruthProb, rng.New(seed^0x9e3779b97f4a7c15))
 			res, err := RunOne(m, o, cfg.Budget, checkpoints)
-			if err != nil && !errors.Is(err, ErrStalled) {
+			if err != nil && !errors.Is(err, sampler.ErrStalled) {
 				errs[run] = err
 				return
 			}

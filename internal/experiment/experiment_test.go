@@ -196,11 +196,12 @@ type straddler struct {
 
 func (s *straddler) Name() string { return "straddler" }
 
-func (s *straddler) Step(b *oracle.Budgeted) error {
-	_, err := b.TryLabel(s.next)
+func (s *straddler) Draw() sampler.Draw {
 	s.next++
-	return err
+	return sampler.Draw{Pair: s.next - 1}
 }
+
+func (s *straddler) Commit(sampler.Draw, bool) {}
 
 func (s *straddler) Estimate() float64 { return s.est }
 

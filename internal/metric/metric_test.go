@@ -42,32 +42,15 @@ func TestJaccardProperties(t *testing.T) {
 	}
 }
 
-func TestDice(t *testing.T) {
-	if got := Dice([]string{"a", "b"}, []string{"b", "c"}); !approx(got, 0.5, 1e-12) {
-		t.Errorf("Dice = %v", got)
-	}
-	if Dice(nil, nil) != 1 || Dice([]string{"x"}, nil) != 0 {
-		t.Error("Dice empty-set conventions broken")
-	}
-}
-
-func TestDiceGeqJaccardProperty(t *testing.T) {
-	f := func(a, b string) bool {
-		ga := textutil.Trigrams(textutil.Normalize(a))
-		gb := textutil.Trigrams(textutil.Normalize(b))
-		return Dice(ga, gb) >= Jaccard(ga, gb)-1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
+// TestTrigramJaccard checks Jaccard over character trigram sets, the
+// pipeline's short-text similarity.
 func TestTrigramJaccard(t *testing.T) {
-	if got := TrigramJaccard("kitten", "kitten"); got != 1 {
+	tri := func(a, b string) float64 { return Jaccard(textutil.Trigrams(a), textutil.Trigrams(b)) }
+	if got := tri("kitten", "kitten"); got != 1 {
 		t.Errorf("identical strings = %v", got)
 	}
-	sim := TrigramJaccard("apple iphone 6", "apple iphone 6s")
-	dis := TrigramJaccard("apple iphone 6", "samsung galaxy s5")
+	sim := tri("apple iphone 6", "apple iphone 6s")
+	dis := tri("apple iphone 6", "samsung galaxy s5")
 	if !(sim > dis) {
 		t.Errorf("trigram similarity ordering: %v vs %v", sim, dis)
 	}
@@ -113,102 +96,6 @@ func TestCosineWithCorpusVectors(t *testing.T) {
 	}
 }
 
-func TestLevenshtein(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want int
-	}{
-		{"", "", 0},
-		{"abc", "", 3},
-		{"", "abc", 3},
-		{"kitten", "sitting", 3},
-		{"flaw", "lawn", 2},
-		{"abc", "abc", 0},
-		{"résumé", "resume", 2},
-	}
-	for _, c := range cases {
-		if got := Levenshtein(c.a, c.b); got != c.want {
-			t.Errorf("Levenshtein(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestLevenshteinProperties(t *testing.T) {
-	f := func(a, b string) bool {
-		if len(a) > 40 {
-			a = a[:40]
-		}
-		if len(b) > 40 {
-			b = b[:40]
-		}
-		d := Levenshtein(a, b)
-		la, lb := len([]rune(a)), len([]rune(b))
-		diff := la - lb
-		if diff < 0 {
-			diff = -diff
-		}
-		maxLen := la
-		if lb > maxLen {
-			maxLen = lb
-		}
-		// Symmetry, identity, bounds.
-		return d == Levenshtein(b, a) &&
-			(a != b || d == 0) &&
-			d >= diff && d <= maxLen
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLevenshteinSimilarity(t *testing.T) {
-	if s := LevenshteinSimilarity("", ""); s != 1 {
-		t.Errorf("empty = %v", s)
-	}
-	if s := LevenshteinSimilarity("abc", "abc"); s != 1 {
-		t.Errorf("identical = %v", s)
-	}
-	if s := LevenshteinSimilarity("abc", "xyz"); s != 0 {
-		t.Errorf("disjoint = %v", s)
-	}
-}
-
-func TestJaroWinkler(t *testing.T) {
-	if s := JaroWinkler("", ""); s != 1 {
-		t.Errorf("empty = %v", s)
-	}
-	if s := JaroWinkler("abc", ""); s != 0 {
-		t.Errorf("one empty = %v", s)
-	}
-	if s := JaroWinkler("martha", "martha"); !approx(s, 1, 1e-12) {
-		t.Errorf("identical = %v", s)
-	}
-	// Classic reference value: JW(MARTHA, MARHTA) = 0.961.
-	if s := JaroWinkler("martha", "marhta"); !approx(s, 0.961, 1e-3) {
-		t.Errorf("martha/marhta = %v", s)
-	}
-	// Shared prefix should boost similarity versus a suffix variant.
-	if !(JaroWinkler("prefixxa", "prefixxb") > JaroWinkler("aprefixx", "bprefixx")) {
-		t.Error("prefix boost missing")
-	}
-}
-
-func TestJaroWinklerRangeProperty(t *testing.T) {
-	f := func(a, b string) bool {
-		if len(a) > 30 {
-			a = a[:30]
-		}
-		if len(b) > 30 {
-			b = b[:30]
-		}
-		s := JaroWinkler(a, b)
-		return s >= 0 && s <= 1+1e-12 && approx(s, JaroWinkler(b, a), 1e-12)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestNumericSimilarity(t *testing.T) {
 	cases := []struct {
 		a, b, want float64
@@ -246,14 +133,6 @@ func BenchmarkTrigramJaccard(b *testing.B) {
 	y := "canon powershot sx30is digital camera black"
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TrigramJaccard(x, y)
-	}
-}
-
-func BenchmarkLevenshtein(b *testing.B) {
-	x := "the quick brown fox jumps over the lazy dog"
-	y := "the quikc brown fx jumps ovr the lazy dgo"
-	for i := 0; i < b.N; i++ {
-		Levenshtein(x, y)
+		Jaccard(textutil.Trigrams(x), textutil.Trigrams(y))
 	}
 }

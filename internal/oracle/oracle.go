@@ -1,16 +1,11 @@
 // Package oracle implements the labelling oracle of Definition 4: a
 // randomised function returning Boolean labels whose distribution is
-// parametrised by per-pair probabilities p(1|z). It also provides the
-// caching wrapper that implements the paper's label-budget accounting
-// (footnote 5): sampling is with replacement, but a pair charges the budget
-// only the first time its label is queried.
+// parametrised by per-pair probabilities p(1|z). The paper's label-budget
+// accounting (footnote 5), under which a pair charges the budget only the
+// first time its label is queried, lives in sampler.Run.
 package oracle
 
-import (
-	"errors"
-
-	"oasis/internal/rng"
-)
+import "oasis/internal/rng"
 
 // Oracle returns a (possibly random) Boolean label for pool item i.
 type Oracle interface {
@@ -67,71 +62,4 @@ func FromProbs(probs []float64, r *rng.RNG) Oracle {
 		return NewDeterministic(labels)
 	}
 	return NewBernoulli(probs, r)
-}
-
-// ErrBudgetExhausted is returned by Budgeted.TryLabel when a new (uncached)
-// query would exceed the label budget.
-var ErrBudgetExhausted = errors.New("oracle: label budget exhausted")
-
-// Budgeted wraps an oracle with first-query caching and budget accounting.
-// Repeat queries of the same item return the cached label and consume no
-// budget — exactly the paper's accounting, which also keeps the estimators
-// consistent under noisy oracles within a run (each pair has one realised
-// label per evaluation run, as with a crowd worker answering once).
-type Budgeted struct {
-	inner   Oracle
-	cache   map[int]bool
-	queries int
-	budget  int
-}
-
-// NewBudgeted wraps inner with the given budget. A non-positive budget means
-// unlimited.
-func NewBudgeted(inner Oracle, budget int) *Budgeted {
-	return &Budgeted{inner: inner, cache: make(map[int]bool), budget: budget}
-}
-
-// Consumed returns the number of distinct items labelled so far.
-func (b *Budgeted) Consumed() int { return len(b.cache) }
-
-// Queries returns the total number of Label calls (including cache hits).
-func (b *Budgeted) Queries() int { return b.queries }
-
-// Remaining returns the remaining budget, or -1 when unlimited.
-func (b *Budgeted) Remaining() int {
-	if b.budget <= 0 {
-		return -1
-	}
-	return b.budget - len(b.cache)
-}
-
-// Exhausted reports whether a new uncached query would exceed the budget.
-func (b *Budgeted) Exhausted() bool {
-	return b.budget > 0 && len(b.cache) >= b.budget
-}
-
-// TryLabel returns the label of item i, charging the budget if i is uncached.
-// It returns ErrBudgetExhausted when the charge would exceed the budget.
-func (b *Budgeted) TryLabel(i int) (bool, error) {
-	b.queries++
-	if l, ok := b.cache[i]; ok {
-		return l, nil
-	}
-	if b.Exhausted() {
-		b.queries--
-		return false, ErrBudgetExhausted
-	}
-	l := b.inner.Label(i)
-	b.cache[i] = l
-	return l, nil
-}
-
-// Label implements Oracle; it panics if the budget is exhausted. Use TryLabel
-// in budget-sensitive loops.
-func (b *Budgeted) Label(i int) bool {
-	l, err := b.TryLabel(i)
-	if err != nil {
-		panic(err)
-	}
-	return l
 }

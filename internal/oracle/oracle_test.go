@@ -50,100 +50,3 @@ func TestFromProbs(t *testing.T) {
 		t.Error("FromProbs deterministic labels wrong")
 	}
 }
-
-func TestBudgetedCaching(t *testing.T) {
-	o := NewBudgeted(NewDeterministic([]bool{true, false, true, false}), 2)
-	// First query charges budget.
-	l, err := o.TryLabel(0)
-	if err != nil || !l {
-		t.Fatalf("TryLabel(0) = %v, %v", l, err)
-	}
-	if o.Consumed() != 1 {
-		t.Errorf("consumed = %d", o.Consumed())
-	}
-	// Repeat query: cached, no charge.
-	for i := 0; i < 5; i++ {
-		if _, err := o.TryLabel(0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if o.Consumed() != 1 {
-		t.Errorf("repeat queries charged budget: %d", o.Consumed())
-	}
-	if o.Queries() != 6 {
-		t.Errorf("queries = %d", o.Queries())
-	}
-	// Second distinct item exhausts the budget of 2.
-	if _, err := o.TryLabel(1); err != nil {
-		t.Fatal(err)
-	}
-	if !o.Exhausted() {
-		t.Error("budget should be exhausted")
-	}
-	if _, err := o.TryLabel(2); err != ErrBudgetExhausted {
-		t.Errorf("expected ErrBudgetExhausted, got %v", err)
-	}
-	// Cached items remain available after exhaustion.
-	if l, err := o.TryLabel(1); err != nil || l {
-		t.Errorf("cached label after exhaustion = %v, %v", l, err)
-	}
-}
-
-func TestBudgetedUnlimited(t *testing.T) {
-	o := NewBudgeted(NewDeterministic(make([]bool, 100)), 0)
-	for i := 0; i < 100; i++ {
-		if _, err := o.TryLabel(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if o.Remaining() != -1 {
-		t.Errorf("unlimited Remaining = %d", o.Remaining())
-	}
-	if o.Exhausted() {
-		t.Error("unlimited budget cannot exhaust")
-	}
-}
-
-func TestBudgetedRemaining(t *testing.T) {
-	o := NewBudgeted(NewDeterministic(make([]bool, 10)), 5)
-	if o.Remaining() != 5 {
-		t.Errorf("remaining = %d", o.Remaining())
-	}
-	o.Label(0)
-	o.Label(1)
-	if o.Remaining() != 3 {
-		t.Errorf("remaining after 2 = %d", o.Remaining())
-	}
-}
-
-func TestBudgetedNoisyOracleStableWithinRun(t *testing.T) {
-	// A noisy oracle behind the cache must return one realised label per
-	// item per run (like a crowd worker who answers once).
-	probs := make([]float64, 50)
-	for i := range probs {
-		probs[i] = 0.5
-	}
-	o := NewBudgeted(NewBernoulli(probs, rng.New(5)), 0)
-	first := make([]bool, 50)
-	for i := 0; i < 50; i++ {
-		first[i] = o.Label(i)
-	}
-	for round := 0; round < 3; round++ {
-		for i := 0; i < 50; i++ {
-			if o.Label(i) != first[i] {
-				t.Fatal("cached noisy label changed within run")
-			}
-		}
-	}
-}
-
-func TestBudgetedLabelPanicsOnExhaustion(t *testing.T) {
-	o := NewBudgeted(NewDeterministic(make([]bool, 3)), 1)
-	o.Label(0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	o.Label(1)
-}

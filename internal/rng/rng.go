@@ -15,8 +15,7 @@ import (
 )
 
 // RNG is a deterministic pseudo-random number generator (xoshiro256**).
-// It is not safe for concurrent use; create one RNG per goroutine, e.g. with
-// Split.
+// It is not safe for concurrent use; create one RNG per goroutine.
 type RNG struct {
 	s [4]uint64
 	// cached spare normal deviate for Box-Muller
@@ -44,12 +43,6 @@ func (r *RNG) Seed(seed uint64) {
 		r.s[i] = z ^ (z >> 31)
 	}
 	r.hasSpare = false
-}
-
-// Split derives a new, statistically independent generator from r, advancing
-// r in the process. It is used to hand child components their own streams.
-func (r *RNG) Split() *RNG {
-	return New(r.Uint64() ^ 0xd2b74407b1ce6e93)
 }
 
 // State is a serialisable snapshot of a generator, used by the session

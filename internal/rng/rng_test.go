@@ -356,21 +356,6 @@ func TestGeometric(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(47)
-	child := parent.Split()
-	// The child stream should differ from a fresh parent continuation.
-	same := 0
-	for i := 0; i < 100; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("split stream matches parent too often: %d/100", same)
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	var sink uint64

@@ -1,11 +1,9 @@
 package sampler
 
 import (
-	"errors"
 	"math"
 
 	"oasis/internal/estimator"
-	"oasis/internal/oracle"
 	"oasis/internal/pool"
 	"oasis/internal/rng"
 )
@@ -159,13 +157,9 @@ func NewIS(p *pool.Pool, cfg ISConfig, r *rng.RNG) (*IS, error) {
 // Name identifies the method in reports.
 func (s *IS) Name() string { return "IS" }
 
-// Probabilities exposes the instrumental distribution (for tests and
-// diagnostics).
-func (s *IS) Probabilities() []float64 { return s.probs }
-
-// Step draws one pair from the static instrumental distribution, labels it,
-// and updates the bias-corrected estimate.
-func (s *IS) Step(b *oracle.Budgeted) error {
+// Draw draws one pair from the static instrumental distribution, with its
+// importance weight p_i / q_i.
+func (s *IS) Draw() Draw {
 	var i int
 	if s.cfg.Naive {
 		// The naive mode keeps the O(N) inverse-CDF scan the paper times in
@@ -174,16 +168,11 @@ func (s *IS) Step(b *oracle.Budgeted) error {
 	} else {
 		i = s.alias.Draw(s.rng)
 	}
-	label, err := b.TryLabel(i)
-	if err != nil {
-		return err
-	}
-	s.est.Add(s.weights[i], label, s.pool.Preds[i])
-	return nil
+	return Draw{Pair: i, Weight: s.weights[i]}
 }
+
+// Commit folds the pair's label into the bias-corrected estimate.
+func (s *IS) Commit(d Draw, label bool) { s.est.Add(d.Weight, label, s.pool.Preds[d.Pair]) }
 
 // Estimate returns the current F̂.
 func (s *IS) Estimate() float64 { return s.est.Estimate() }
-
-// ErrNoPool is returned by constructors given a nil pool.
-var ErrNoPool = errors.New("sampler: nil pool")

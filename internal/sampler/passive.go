@@ -2,7 +2,6 @@ package sampler
 
 import (
 	"oasis/internal/estimator"
-	"oasis/internal/oracle"
 	"oasis/internal/pool"
 	"oasis/internal/rng"
 	"oasis/internal/strata"
@@ -30,16 +29,11 @@ func NewPassive(p *pool.Pool, alpha float64, r *rng.RNG) *Passive {
 // Name identifies the method in reports.
 func (s *Passive) Name() string { return "Passive" }
 
-// Step draws one pair uniformly, labels it, and updates the estimate.
-func (s *Passive) Step(b *oracle.Budgeted) error {
-	i := s.rng.Intn(s.pool.N())
-	label, err := b.TryLabel(i)
-	if err != nil {
-		return err
-	}
-	s.est.Add(1, label, s.pool.Preds[i])
-	return nil
-}
+// Draw draws one pair uniformly.
+func (s *Passive) Draw() Draw { return Draw{Pair: s.rng.Intn(s.pool.N())} }
+
+// Commit folds the pair's label into the plain Eqn. (1) estimate.
+func (s *Passive) Commit(d Draw, label bool) { s.est.Add(1, label, s.pool.Preds[d.Pair]) }
 
 // Estimate returns the current F̂ (NaN until a match or predicted match has
 // been sampled — exactly the paper's "undefined until first positive mass"
@@ -78,19 +72,15 @@ func NewStratified(p *pool.Pool, s *strata.Strata, alpha float64, r *rng.RNG) (*
 // Name identifies the method in reports.
 func (s *Stratified) Name() string { return "Stratified" }
 
-// Step draws a stratum proportionally, a pair uniformly within it, labels it
-// and updates the stratified estimate.
-func (s *Stratified) Step(b *oracle.Budgeted) error {
+// Draw draws a stratum proportionally and a pair uniformly within it.
+func (s *Stratified) Draw() Draw {
 	k := s.draw.Draw(s.rng)
 	members := s.str.Members(k)
-	i := int(members[s.rng.Intn(len(members))])
-	label, err := b.TryLabel(i)
-	if err != nil {
-		return err
-	}
-	s.est.Add(k, label, s.pool.Preds[i])
-	return nil
+	return Draw{Pair: int(members[s.rng.Intn(len(members))]), Stratum: k}
 }
+
+// Commit folds the pair's label into the stratified estimate.
+func (s *Stratified) Commit(d Draw, label bool) { s.est.Add(d.Stratum, label, s.pool.Preds[d.Pair]) }
 
 // Estimate returns the current stratified F̂.
 func (s *Stratified) Estimate() float64 { return s.est.Estimate() }

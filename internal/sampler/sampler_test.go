@@ -36,13 +36,21 @@ func testPool(n int, seed uint64) *pool.Pool {
 	return p
 }
 
-func runMethod(t *testing.T, m Method, p *pool.Pool, steps int, oracleSeed uint64) float64 {
-	t.Helper()
-	b := oracle.NewBudgeted(oracle.FromProbs(p.TruthProb, rng.New(oracleSeed)), 0)
-	for i := 0; i < steps; i++ {
-		if err := m.Step(b); err != nil {
-			t.Fatal(err)
+// runMethod makes `draws` draws of m, labelling each pair once through a
+// run-local cache as Run does, and returns the final estimate. It counts
+// draws rather than labels: these runs draw more often than the pool has
+// pairs, which a label budget cannot express.
+func runMethod(m Method, p *pool.Pool, draws int, oracleSeed uint64) float64 {
+	o := oracle.FromProbs(p.TruthProb, rng.New(oracleSeed))
+	labels := make(map[int]bool)
+	for i := 0; i < draws; i++ {
+		d := m.Draw()
+		label, ok := labels[d.Pair]
+		if !ok {
+			label = o.Label(d.Pair)
+			labels[d.Pair] = label
 		}
+		m.Commit(d, label)
 	}
 	return m.Estimate()
 }
@@ -54,7 +62,7 @@ func TestPassiveConverges(t *testing.T) {
 	const runs = 5
 	for run := 0; run < runs; run++ {
 		m := NewPassive(p, 0.5, rng.New(10+uint64(run)))
-		got := runMethod(t, m, p, 60000, 20+uint64(run))
+		got := runMethod(m, p, 60000, 20+uint64(run))
 		errSum += math.Abs(got - trueF)
 	}
 	if mean := errSum / runs; mean > 0.05 {
@@ -87,7 +95,7 @@ func TestStratifiedConverges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := runMethod(t, m, p, 60000, 40+uint64(run))
+		got := runMethod(m, p, 60000, 40+uint64(run))
 		errSum += math.Abs(got - trueF)
 	}
 	if mean := errSum / runs; mean > 0.05 {
@@ -111,7 +119,7 @@ func TestISConverges(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := runMethod(t, m, p, 20000, 60+uint64(run))
+			got := runMethod(m, p, 20000, 60+uint64(run))
 			errSum += math.Abs(got - trueF)
 		}
 		if mean := errSum / runs; mean > 0.05 {
@@ -130,7 +138,7 @@ func TestISNaiveAndAliasSameDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa, pb := a.Probabilities(), b.Probabilities()
+	pa, pb := a.probs, b.probs
 	for i := range pa {
 		if math.Abs(pa[i]-pb[i]) > 1e-15 {
 			t.Fatalf("instrumental distributions differ at %d", i)
@@ -144,7 +152,7 @@ func TestISInstrumentalPositivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probs := m.Probabilities()
+	probs := m.probs
 	sum := 0.0
 	minQ := math.Inf(1)
 	for _, q := range probs {
@@ -167,7 +175,7 @@ func TestISOversamplesPredictedMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probs := m.Probabilities()
+	probs := m.probs
 	var predMass, nonPredMass float64
 	var predCount, nonPredCount int
 	for i, q := range probs {
@@ -230,24 +238,21 @@ func TestOptimalInstrumentalShape(t *testing.T) {
 	}
 }
 
+// TestISBudgetExhaustion checks that Run stops IS at its label budget and
+// never asks the oracle for a label past it.
 func TestISBudgetExhaustion(t *testing.T) {
 	p := testPool(200, 12)
 	m, err := NewIS(p, ISConfig{Alpha: 0.5}, rng.New(13))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := oracle.NewBudgeted(oracle.FromProbs(p.TruthProb, rng.New(14)), 3)
-	sawExhaustion := false
-	for i := 0; i < 5000; i++ {
-		if err := m.Step(b); err == oracle.ErrBudgetExhausted {
-			sawExhaustion = true
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
+	o := &countingOracle{inner: oracle.FromProbs(p.TruthProb, rng.New(14))}
+	labels, draws, err := Run(m, o, 3, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !sawExhaustion {
-		t.Error("expected budget exhaustion")
+	if labels != 3 || len(o.asked) != 3 || draws < 3 {
+		t.Errorf("labels %d, oracle queries %d, draws %d; want 3, 3, >= 3", labels, len(o.asked), draws)
 	}
 }
 

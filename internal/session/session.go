@@ -522,7 +522,7 @@ const (
 	// Committed: a fresh label, folded into the posterior and estimate.
 	Committed CommitResult = iota
 	// Duplicate: the pair was already labelled; the re-answer is ignored
-	// (the first label wins, mirroring the Budgeted oracle's cache).
+	// (the first label wins, mirroring the label cache of sampler.Run).
 	Duplicate
 	// Expired: no live lease — never proposed, or the lease lapsed and the
 	// pair returned to the proposable set.

@@ -1,13 +1,12 @@
 // Package stats provides the statistical primitives the OASIS library is
 // built on: histograms (used by the Cumulative-√F stratifier), streaming
-// moment accumulators, divergences between discrete distributions, quantiles
-// and normal-approximation confidence intervals.
+// moment accumulators, and the KL divergence between discrete
+// distributions.
 package stats
 
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by routines that require at least one observation.
@@ -72,30 +71,6 @@ func MinMax(xs []float64) (min, max float64, err error) {
 	return min, max, nil
 }
 
-// Quantile returns the q-quantile (q in [0,1]) of xs using linear
-// interpolation between order statistics. xs need not be sorted.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 {
-		return 0, errors.New("stats: quantile out of [0,1]")
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0], nil
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo], nil
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac, nil
-}
-
 // Online accumulates streaming first and second moments using Welford's
 // algorithm. The zero value is ready to use.
 type Online struct {
@@ -133,14 +108,6 @@ func (o *Online) Variance() float64 {
 
 // StdDev returns the running population standard deviation.
 func (o *Online) StdDev() float64 { return math.Sqrt(o.Variance()) }
-
-// SampleVariance returns the Bessel-corrected variance (NaN if n < 2).
-func (o *Online) SampleVariance() float64 {
-	if o.n < 2 {
-		return math.NaN()
-	}
-	return o.m2 / float64(o.n-1)
-}
 
 // Histogram is a fixed-width binning of scalar observations over [Min, Max].
 // Values outside the range are clamped into the boundary bins, matching the
@@ -198,18 +165,6 @@ func (h *Histogram) BinOf(x float64) int {
 	return i
 }
 
-// LeftEdge returns the left edge of bin i.
-func (h *Histogram) LeftEdge(i int) float64 { return h.Min + float64(i)*h.width }
-
-// RightEdge returns the right edge of bin i (the histogram maximum for the
-// final bin).
-func (h *Histogram) RightEdge(i int) float64 {
-	if i == len(h.Counts)-1 {
-		return h.Max
-	}
-	return h.Min + float64(i+1)*h.width
-}
-
 // Normalize converts p (unnormalised non-negative weights) into a probability
 // vector in place and returns it. It returns an error if the sum is not
 // positive and finite.
@@ -262,44 +217,6 @@ func KLDivergence(p, q []float64) (float64, error) {
 	return d, nil
 }
 
-// TotalVariation returns 0.5 Σ |p_i − q_i| after normalising both inputs.
-func TotalVariation(p, q []float64) (float64, error) {
-	if len(p) != len(q) || len(p) == 0 {
-		return 0, errors.New("stats: TV requires equal-length non-empty distributions")
-	}
-	pn, err := Normalize(append([]float64(nil), p...))
-	if err != nil {
-		return 0, err
-	}
-	qn, err := Normalize(append([]float64(nil), q...))
-	if err != nil {
-		return 0, err
-	}
-	d := 0.0
-	for i := range pn {
-		d += math.Abs(pn[i] - qn[i])
-	}
-	return d / 2, nil
-}
-
-// MeanCI returns the mean of xs and the half-width of an approximate
-// normal-theory confidence interval at the given z value (1.96 for ~95%).
-func MeanCI(xs []float64, z float64) (mean, halfWidth float64) {
-	var o Online
-	for _, x := range xs {
-		o.Add(x)
-	}
-	mean = o.Mean()
-	if o.N() < 2 {
-		return mean, math.NaN()
-	}
-	se := math.Sqrt(o.SampleVariance() / float64(o.N()))
-	return mean, z * se
-}
-
-// Logit returns log(p / (1-p)).
-func Logit(p float64) float64 { return math.Log(p / (1 - p)) }
-
 // Sigmoid returns the logistic function 1/(1+e^-x).
 func Sigmoid(x float64) float64 {
 	if x >= 0 {
@@ -308,15 +225,4 @@ func Sigmoid(x float64) float64 {
 	}
 	z := math.Exp(x)
 	return z / (1 + z)
-}
-
-// Clamp limits x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

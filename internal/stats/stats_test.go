@@ -45,25 +45,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {1, 4}, {0.5, 2.5}, {0.25, 1.75},
-	}
-	for _, c := range cases {
-		got, err := Quantile(xs, c.q)
-		if err != nil || !almostEq(got, c.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, %v; want %v", c.q, got, err, c.want)
-		}
-	}
-	if _, err := Quantile(nil, 0.5); err == nil {
-		t.Error("expected error on empty input")
-	}
-	if _, err := Quantile(xs, 1.5); err == nil {
-		t.Error("expected error on q > 1")
-	}
-}
-
 func TestOnlineMatchesBatch(t *testing.T) {
 	xs := []float64{0.5, -2, 3.25, 3.25, 10, -7.5}
 	var o Online
@@ -123,15 +104,6 @@ func TestHistogram(t *testing.T) {
 	}
 	if h.BinOf(-5) != 0 || h.BinOf(99) != 4 {
 		t.Error("out-of-range values must clamp")
-	}
-	// Edges are monotone and span [min, max].
-	if h.LeftEdge(0) != 0 || h.RightEdge(4) != 1 {
-		t.Errorf("edges %v %v", h.LeftEdge(0), h.RightEdge(4))
-	}
-	for i := 0; i < h.Bins(); i++ {
-		if h.RightEdge(i) < h.LeftEdge(i) {
-			t.Errorf("bin %d inverted", i)
-		}
 	}
 }
 
@@ -216,36 +188,11 @@ func TestKLNonNegativeProperty(t *testing.T) {
 	}
 }
 
-func TestTotalVariation(t *testing.T) {
-	d, err := TotalVariation([]float64{1, 0}, []float64{0, 1})
-	if err != nil || !almostEq(d, 1, 1e-12) {
-		t.Errorf("TV = %v, %v", d, err)
-	}
-	d, err = TotalVariation([]float64{1, 1}, []float64{1, 1})
-	if err != nil || !almostEq(d, 0, 1e-12) {
-		t.Errorf("TV same = %v, %v", d, err)
-	}
-}
-
-func TestMeanCI(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	mean, hw := MeanCI(xs, 1.96)
-	if !almostEq(mean, 4.5, 1e-12) {
-		t.Errorf("mean %v", mean)
-	}
-	if hw <= 0 || math.IsNaN(hw) {
-		t.Errorf("half-width %v", hw)
-	}
-	_, hw1 := MeanCI([]float64{3}, 1.96)
-	if !math.IsNaN(hw1) {
-		t.Error("single observation should give NaN half-width")
-	}
-}
-
 func TestSigmoidLogit(t *testing.T) {
+	// Sigmoid inverts the logit log(p/(1−p)).
 	for _, p := range []float64{0.01, 0.25, 0.5, 0.9, 0.999} {
-		if got := Sigmoid(Logit(p)); !almostEq(got, p, 1e-9) {
-			t.Errorf("Sigmoid(Logit(%v)) = %v", p, got)
+		if got := Sigmoid(math.Log(p / (1 - p))); !almostEq(got, p, 1e-9) {
+			t.Errorf("Sigmoid(logit(%v)) = %v", p, got)
 		}
 	}
 	if s := Sigmoid(0); !almostEq(s, 0.5, 1e-12) {
@@ -269,11 +216,5 @@ func TestSigmoidMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Error("Clamp broken")
 	}
 }

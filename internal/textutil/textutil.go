@@ -120,9 +120,6 @@ func (c *Corpus) AddDoc(doc string) {
 	c.docs++
 }
 
-// Docs returns the number of documents scanned.
-func (c *Corpus) Docs() int { return c.docs }
-
 // IDF returns the smoothed inverse document frequency of term.
 func (c *Corpus) IDF(term string) float64 {
 	df := c.df[term]

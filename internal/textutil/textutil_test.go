@@ -103,8 +103,8 @@ func TestNGramsSortedUniqueProperty(t *testing.T) {
 
 func TestCorpusIDF(t *testing.T) {
 	c := NewCorpus([]string{"apple banana", "apple cherry", "apple"})
-	if c.Docs() != 3 {
-		t.Fatalf("Docs = %d", c.Docs())
+	if c.docs != 3 {
+		t.Fatalf("Docs = %d", c.docs)
 	}
 	// "apple" appears in all docs → lowest idf; unseen term → highest.
 	if !(c.IDF("apple") < c.IDF("banana")) {
@@ -150,13 +150,13 @@ func TestCorpusVectorRepeatedTermsWeighMore(t *testing.T) {
 
 func TestAddDocIncremental(t *testing.T) {
 	c := NewCorpus(nil)
-	if c.Docs() != 0 {
+	if c.docs != 0 {
 		t.Fatal("fresh corpus should be empty")
 	}
 	c.AddDoc("alpha beta")
 	c.AddDoc("alpha")
-	if c.Docs() != 2 {
-		t.Errorf("Docs = %d", c.Docs())
+	if c.docs != 2 {
+		t.Errorf("Docs = %d", c.docs)
 	}
 	if !(c.IDF("alpha") < c.IDF("beta")) {
 		t.Error("idf ordering after incremental adds")

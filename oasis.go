@@ -8,7 +8,6 @@ import (
 
 	"oasis/internal/core"
 	"oasis/internal/diag"
-	"oasis/internal/oracle"
 	"oasis/internal/pool"
 	"oasis/internal/rng"
 	"oasis/internal/sampler"
@@ -148,19 +147,20 @@ type Result struct {
 	FMeasure float64
 	// LabelsConsumed is the number of distinct pairs labelled.
 	LabelsConsumed int
-	// Iterations is the number of sampling steps taken (≥ LabelsConsumed;
-	// sampling is with replacement and cached labels are free).
+	// Iterations is the number of draws taken (≥ LabelsConsumed; sampling
+	// is with replacement and cached labels are free).
 	Iterations int
 }
 
 // Sampler is the OASIS adaptive importance sampler over a pool.
 //
-// A Sampler can be driven two ways: synchronously, with Run/Step pulling
-// labels from an OracleFunc, or asynchronously, with ProposeBatch/CommitLabel
-// pushing labels in as an external labelling resource (a crowd, a service
-// queue) produces them. A Sampler is not safe for concurrent use; the
-// session subsystem (internal/session, served by cmd/oasis-server) adds
-// locking, leases and persistence on top.
+// A Sampler can be driven two ways, not mixed on one Sampler: synchronously,
+// with Run pulling labels from an OracleFunc (the paper's sequential
+// Algorithm 3), or asynchronously, with ProposeBatch/CommitLabel pushing
+// labels in as an external labelling resource (a crowd, a service queue)
+// produces them (the bounded engine the service runs). A Sampler is not safe
+// for concurrent use; the session subsystem (internal/session, served by
+// cmd/oasis-server) adds locking, leases and persistence on top.
 type Sampler struct {
 	inner *core.Sampler
 	str   *strata.Strata
@@ -171,7 +171,7 @@ type Sampler struct {
 	// outstanding pair queue additional weighted terms). The slab keeps the
 	// propose/commit hot path free of map operations: insert is an append,
 	// removal a swap-remove, both O(1). labels caches committed labels,
-	// mirroring the Budgeted oracle's first-query cache.
+	// mirroring sampler.Run's first-query cache.
 	pendingSlab []pendingEntry
 	// slots interleaves each pair with its proposal state in the strata's
 	// Perm order (stratum k occupies [slotOff[k], slotOff[k+1]), matching the
@@ -187,7 +187,7 @@ type Sampler struct {
 	// extraDraws holds the re-draws of outstanding pairs (rare): keeping
 	// them out of the slab makes slab entries pointer-free scalars, so the
 	// propose hot path never takes a GC write barrier.
-	extraDraws map[int][]core.Draw
+	extraDraws map[int][]sampler.Draw
 	labels     map[int]bool
 
 	// Proposability accounting for the rejection-free draw path. Everything
@@ -225,8 +225,8 @@ type pendingEntry struct {
 }
 
 // draw reconstructs the core draw record the entry froze.
-func (e pendingEntry) draw() core.Draw {
-	return core.Draw{Pair: int(e.pair), Stratum: int(e.stratum), Weight: e.weight}
+func (e pendingEntry) draw() sampler.Draw {
+	return sampler.Draw{Pair: int(e.pair), Stratum: int(e.stratum), Weight: e.weight}
 }
 
 // pairSlot is one pool pair in stratum order with its proposal state: ≥ 0
@@ -361,7 +361,7 @@ func (s *Sampler) pairState(pair int) int32 {
 
 // removePending swap-removes pair's slab entry, returning it together with
 // any queued re-draws. The caller must know the pair is outstanding.
-func (s *Sampler) removePending(pair int) (pendingEntry, []core.Draw) {
+func (s *Sampler) removePending(pair int) (pendingEntry, []sampler.Draw) {
 	idx := s.slots[s.posOfPair[pair]].state
 	entry := s.pendingSlab[idx]
 	last := len(s.pendingSlab) - 1
@@ -372,7 +372,7 @@ func (s *Sampler) removePending(pair int) (pendingEntry, []core.Draw) {
 	}
 	s.pendingSlab = s.pendingSlab[:last]
 	s.slots[s.posOfPair[pair]].state = pairAvailable
-	var extra []core.Draw
+	var extra []sampler.Draw
 	if len(s.extraDraws) > 0 {
 		if ex, ok := s.extraDraws[pair]; ok {
 			extra = ex
@@ -429,19 +429,18 @@ func (s *Sampler) StratumDiagnostics() []diag.StratumHealth {
 	return diag.StrataHealth(draws, sumW, sumW2, instr)
 }
 
-// Run performs adaptive sampling until `budget` distinct pairs have been
-// labelled by the oracle (or the pool is exhausted), and returns the final
-// estimate. Run may be called repeatedly to continue with a fresh budget;
-// labels already purchased are remembered across calls only within a single
-// Run's cache, matching the paper's accounting.
+// Run is the paper's sequential Algorithm 3: it draws one pair at a time,
+// asks the oracle the first time a pair comes up (later draws of it reuse
+// that label for free), folds every draw into the estimate, and stops once
+// `budget` distinct pairs are labelled. It returns the final estimate. A run
+// whose draws keep landing on labelled pairs (e.g. a budget above the pool
+// size) stops after 200·budget + 1000 draws instead, with LabelsConsumed
+// below budget. Labels are cached per call, matching the paper's accounting.
+// Callers that run their own labelling loop use ProposeBatch and
+// CommitLabel instead.
 func (s *Sampler) Run(o OracleFunc, budget int) (*Result, error) {
-	return runLoop(s.inner, o, budget)
+	return run(s.inner, o, budget)
 }
-
-// Step performs a single iteration of Algorithm 3 against a budgeted oracle.
-// Most callers should use Run; Step exists for callers integrating OASIS
-// into their own labelling loops.
-func (s *Sampler) Step(b *Budgeted) error { return s.inner.Step(b.inner) }
 
 // ErrNotProposed is returned by CommitLabel for a pair that has no
 // outstanding proposal and no cached label — e.g. a proposal whose lease was
@@ -459,15 +458,20 @@ var ErrExhausted = errors.New("oasis: no proposable pairs (pool labelled or full
 // to yield a fresh proposal (free commits of already-labelled pairs, queued
 // re-draws of outstanding ones) before ProposeBatch escalates to the direct
 // mode, which draws the next proposal from the availability-masked
-// instrumental distribution in bounded time. At typical labelled densities
-// the limit is effectively never reached (probability density^32), so the
-// faithful with-replacement semantics of Algorithm 3 govern the common path.
+// instrumental distribution in bounded time. The limit is reached whenever
+// v(t) concentrates on strata that are mostly labelled or outstanding, and
+// more often at larger batches, which adapt v(t) less often: on uncalibrated
+// Abt-Buy (erbench scale 1.0, pool seed 1, K = 30, sampler seed 200, 20,000
+// labels) 23 proposals came from direct mode at batch 1 and 734 at batch 16.
+// Sequential Run has no such escape and keeps drawing with replacement up to
+// its draw cap, so Run and ProposeBatch differ exactly after 32 consecutive
+// free draws.
 const proposeStormLimit = 32
 
 // ProposeBatch draws n distinct unlabelled pairs from the current
 // instrumental distribution and returns their pool indices, marking each as
 // an outstanding proposal. It is the asynchronous, batched counterpart of
-// Step: the caller routes the proposed pairs to its labelling resource and
+// Run: the caller routes the proposed pairs to its labelling resource and
 // feeds answers back through CommitLabel in any order.
 //
 // Sampling is with replacement, exactly as in Algorithm 3: a re-draw of an
@@ -539,15 +543,15 @@ func (s *Sampler) ProposeBatch(n int) ([]int, error) {
 			misses = 0
 		case st == pairLabelled:
 			// Free draw: fold the cached label in immediately, exactly as
-			// the sequential algorithm re-labels for free (Algorithm 3 with
-			// the Budgeted oracle's cache).
-			s.inner.Commit(core.Draw{Pair: pair, Stratum: k, Weight: weight}, s.labels[pair])
+			// the sequential algorithm re-labels for free (Run's label
+			// cache).
+			s.inner.Commit(sampler.Draw{Pair: pair, Stratum: k, Weight: weight}, s.labels[pair])
 			misses++
 		default:
 			if s.extraDraws == nil {
-				s.extraDraws = make(map[int][]core.Draw)
+				s.extraDraws = make(map[int][]sampler.Draw)
 			}
-			s.extraDraws[pair] = append(s.extraDraws[pair], core.Draw{Pair: pair, Stratum: k, Weight: weight})
+			s.extraDraws[pair] = append(s.extraDraws[pair], sampler.Draw{Pair: pair, Stratum: k, Weight: weight})
 			misses++
 		}
 	}
@@ -651,7 +655,7 @@ func (s *Sampler) pickAvailable(k int) int {
 // CommitLabel applies the label of a previously proposed pair, updating the
 // Beta posterior and the running estimate once per draw that was awaiting
 // it. Committing an already-committed pair is a no-op (the first label
-// wins, mirroring the Budgeted oracle's cache); committing a pair that was
+// wins, mirroring Run's label cache); committing a pair that was
 // never proposed — or whose proposal was released — returns ErrNotProposed.
 func (s *Sampler) CommitLabel(pair int, label bool) error {
 	_, err := s.commitLabel(pair, label, false)
@@ -744,7 +748,7 @@ func (s *Sampler) ReplayCommit(pair int, label bool, terms []DrawTerm) error {
 	// The proposal predates the snapshot this sampler was restored from, so
 	// its pending entry is gone; the journaled terms carry the frozen weights.
 	for _, dt := range terms {
-		s.inner.Commit(core.Draw{Pair: pair, Stratum: dt.Stratum, Weight: dt.Weight}, label)
+		s.inner.Commit(sampler.Draw{Pair: pair, Stratum: dt.Stratum, Weight: dt.Weight}, label)
 	}
 	s.labels[pair] = label
 	s.slots[s.posOfPair[pair]].state = pairLabelled
@@ -882,35 +886,16 @@ func (s *Sampler) RestoreState(st *SamplerState) error {
 		s.propose(int(s.posOfPair[p.Pair]), p.Stratum, p.Weight)
 		for _, e := range p.Extra {
 			if s.extraDraws == nil {
-				s.extraDraws = make(map[int][]core.Draw)
+				s.extraDraws = make(map[int][]sampler.Draw)
 			}
-			s.extraDraws[p.Pair] = append(s.extraDraws[p.Pair], core.Draw{Pair: p.Pair, Stratum: e.Stratum, Weight: e.Weight})
+			s.extraDraws[p.Pair] = append(s.extraDraws[p.Pair], sampler.Draw{Pair: p.Pair, Stratum: e.Stratum, Weight: e.Weight})
 		}
 	}
 	return nil
 }
 
-// Budgeted wraps an OracleFunc with label caching and budget accounting.
-type Budgeted struct {
-	inner *oracle.Budgeted
-}
-
-// NewBudgeted wraps o with a budget; non-positive budget means unlimited.
-func NewBudgeted(o OracleFunc, budget int) *Budgeted {
-	return &Budgeted{inner: oracle.NewBudgeted(o, budget)}
-}
-
-// Consumed returns the number of distinct pairs labelled.
-func (b *Budgeted) Consumed() int { return b.inner.Consumed() }
-
-// Exhausted reports whether the budget has been used up.
-func (b *Budgeted) Exhausted() bool { return b.inner.Exhausted() }
-
-// ErrBudgetExhausted is returned by Step when a fresh label would exceed the
-// budget.
-var ErrBudgetExhausted = oracle.ErrBudgetExhausted
-
-// Method is a generic sequential evaluation method (OASIS or a baseline).
+// Method is one of the paper's baseline evaluation methods (Passive,
+// Stratified or IS), driven exactly like Sampler.Run.
 type Method struct {
 	inner sampler.Method
 }
@@ -921,56 +906,23 @@ func (m *Method) Name() string { return m.inner.Name() }
 // Estimate returns the method's current F̂.
 func (m *Method) Estimate() float64 { return m.inner.Estimate() }
 
-// Run drives the method until the label budget is consumed.
+// Run drives the method until the label budget is consumed, as
+// Sampler.Run does.
 func (m *Method) Run(o OracleFunc, budget int) (*Result, error) {
-	return runLoop(m.inner, o, budget)
+	return run(m.inner, o, budget)
 }
 
-// Sampling is with replacement and cached (already-labelled) pairs are free,
-// so a run can legitimately take more draws than its label budget — e.g.
-// once a heavy stratum is fully labelled, every re-draw from it consumes no
-// budget. The cap below bounds the draw count so a degenerate instrumental
-// distribution (all mass on labelled pairs) terminates instead of spinning:
-// MaxDrawFactor draws per budgeted label, plus MaxDrawSlack to keep tiny
-// budgets from being cut off early. Used by runLoop only: the batched
-// proposers (Sampler.ProposeBatch and the session layer's passive proposer)
-// no longer need a cap — their draw paths are rejection-free and exhaustion
-// is a typed error (ErrExhausted).
-const (
-	// MaxDrawFactor bounds with-replacement draws per budgeted label.
-	MaxDrawFactor = 200
-	// MaxDrawSlack is the additive slack for small budgets.
-	MaxDrawSlack = 1000
-)
-
-// MaxDraws returns the draw cap for a run (or proposal batch) targeting n
-// fresh labels: MaxDrawFactor*n + MaxDrawSlack.
-func MaxDraws(n int) int { return MaxDrawFactor*n + MaxDrawSlack }
-
-// runLoop drives any method until the budget is consumed, with a safety cap
-// on iterations (with-replacement draws of cached pairs are free, so a
-// method can legitimately take more iterations than budget).
-func runLoop(m sampler.Method, o OracleFunc, budget int) (*Result, error) {
+// run drives m through sampler.Run. With no hook, the only error Run can
+// return is a stall at its draw cap; Result.LabelsConsumed reports it.
+func run(m sampler.Method, o OracleFunc, budget int) (*Result, error) {
 	if budget <= 0 {
 		return nil, errors.New("oasis: budget must be positive")
 	}
-	b := oracle.NewBudgeted(o, budget)
-	iters := 0
-	maxIters := MaxDraws(budget)
-	for b.Consumed() < budget && iters < maxIters {
-		err := m.Step(b)
-		if err == oracle.ErrBudgetExhausted {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		iters++
-	}
+	labels, draws, _ := sampler.Run(m, o, budget, nil)
 	return &Result{
 		FMeasure:       m.Estimate(),
-		LabelsConsumed: b.Consumed(),
-		Iterations:     iters,
+		LabelsConsumed: labels,
+		Iterations:     draws,
 	}, nil
 }
 
@@ -1009,7 +961,3 @@ func NewISSampler(p *Pool, opts Options) (*Method, error) {
 	}
 	return &Method{inner: m}, nil
 }
-
-// AsMethod adapts the OASIS sampler to the generic Method type, e.g. for
-// running OASIS and baselines through the same loop.
-func (s *Sampler) AsMethod() *Method { return &Method{inner: s.inner} }

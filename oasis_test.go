@@ -267,6 +267,9 @@ func TestStratificationMemBytes(t *testing.T) {
 	}
 }
 
+// TestStepAPI drives the sampler one label at a time from the caller's own
+// loop, the way an integration without an OracleFunc does: propose one pair,
+// label it, commit it.
 func TestStepAPI(t *testing.T) {
 	scores, preds, truth, _ := syntheticScores(2000, 15)
 	p, err := oasis.NewPool(scores, preds, oasis.CalibratedScores)
@@ -277,17 +280,17 @@ func TestStepAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := oasis.NewBudgeted(func(i int) bool { return truth[i] }, 10)
-	for !b.Exhausted() {
-		if err := s.Step(b); err != nil {
-			if err == oasis.ErrBudgetExhausted {
-				break
-			}
+	for s.LabelsCommitted() < 10 {
+		batch, err := s.ProposeBatch(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CommitLabel(batch[0], truth[batch[0]]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if b.Consumed() != 10 {
-		t.Errorf("consumed %d", b.Consumed())
+	if s.LabelsCommitted() != 10 {
+		t.Errorf("committed %d", s.LabelsCommitted())
 	}
 	if math.IsNaN(s.Estimate()) {
 		t.Error("estimate should fall back to initial guess")
@@ -303,22 +306,6 @@ func TestRunRejectsBadBudget(t *testing.T) {
 	}
 	if _, err := s.Run(func(int) bool { return false }, 0); err == nil {
 		t.Error("expected error on zero budget")
-	}
-}
-
-func TestAsMethod(t *testing.T) {
-	scores, preds, truth, _ := syntheticScores(3000, 19)
-	p, _ := oasis.NewPool(scores, preds, oasis.CalibratedScores)
-	s, err := oasis.NewSampler(p, oasis.Options{Seed: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := s.AsMethod()
-	if m.Name() != "OASIS" {
-		t.Errorf("name %q", m.Name())
-	}
-	if _, err := m.Run(func(i int) bool { return truth[i] }, 50); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -106,18 +106,68 @@ func TestPinnedSequences(t *testing.T) {
 		}
 	})
 
-	t.Run("erbench-final-error", func(t *testing.T) {
+	cora := func(t *testing.T) *erbench.BuiltPool {
+		t.Helper()
 		b, err := erbench.BuildPool("cora", erbench.PoolConfig{Scale: 0.05, Calibrate: true, Seed: 12345, TrainPairs: 1200})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mean, _, err := erbench.FinalError(b, erbench.OASIS, erbench.HarnessConfig{Budget: 300, Runs: 4, Seed: 11, Workers: 2})
+		return b
+	}
+	harness := erbench.HarnessConfig{Budget: 300, Runs: 4, Seed: 11, Workers: 2}
+
+	t.Run("erbench-final-error", func(t *testing.T) {
+		mean, _, err := erbench.FinalError(cora(t), erbench.OASIS, harness)
 		if err != nil {
 			t.Fatal(err)
 		}
 		const wantBits = 0x3fa7132282db8e84
 		if bits := math.Float64bits(mean); bits != wantBits {
 			t.Errorf("mean |error| bits %#x (%v); pinned %#x", bits, mean, uint64(wantBits))
+		}
+	})
+
+	// The baselines and the Figure 4 trajectory run through the offline
+	// harness loop, which the proposal pins above never touch: pin the bits
+	// of every error-curve point with the mean draw count, and the F and
+	// KL(v*‖v̂) series of one convergence run.
+	t.Run("erbench-offline-paths", func(t *testing.T) {
+		b := cora(t)
+		for _, tc := range []struct {
+			kind             erbench.MethodKind
+			errHash, itsBits uint64
+		}{
+			{erbench.Passive, 0x887fde78a9f34136, 0x4072f40000000000},
+			{erbench.Stratified, 0x759dae720dfb7d28, 0x4072fc0000000000},
+			{erbench.ImportanceSampling, 0x297a442ab2c768a0, 0x40735c0000000000},
+			{erbench.ImportanceSamplingNaive, 0x1999cf16b3a74516, 0x4073300000000000},
+		} {
+			c, err := erbench.RunCurves(b, tc.kind, harness)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			for _, e := range c.MeanAbsErr {
+				writePair(h, int(math.Float64bits(e)))
+			}
+			if got, its := h.Sum64(), math.Float64bits(c.MeanIterations); got != tc.errHash || its != tc.itsBits {
+				t.Errorf("%v: error-curve hash %#x, mean draws bits %#x (%v); pinned %#x, %#x",
+					tc.kind, got, its, c.MeanIterations, tc.errHash, tc.itsBits)
+			}
+		}
+		conv, err := erbench.RunConvergence(b, harness, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		for i := range conv.FError {
+			writePair(h, conv.Labels[i])
+			writePair(h, int(math.Float64bits(conv.FError[i])))
+			writePair(h, int(math.Float64bits(conv.KL[i])))
+		}
+		const wantConv = 0x7119da9d7e979c40
+		if got := h.Sum64(); got != wantConv {
+			t.Errorf("convergence series hash %#x over %d points; pinned %#x", got, len(conv.FError), uint64(wantConv))
 		}
 	})
 }
