@@ -78,6 +78,24 @@ func TestRunChargesFirstQueryOnly(t *testing.T) {
 	}
 }
 
+// TestRunNeverAsksPastBudget: Run ends with the draw that buys the last
+// label of the budget, so neither the method nor the oracle is asked again,
+// however many fresh pairs the method would go on to draw.
+func TestRunNeverAsksPastBudget(t *testing.T) {
+	m := &script{next: func(draw int) int { return draw }}
+	o := &countingOracle{inner: oracle.NewDeterministic(make([]bool, 10))}
+	labels, draws, err := Run(m, o, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if labels != 3 || draws != 3 || m.draws != 3 {
+		t.Errorf("labels %d, draws %d, method draws %d; want 3, 3, 3", labels, draws, m.draws)
+	}
+	if len(o.asked) != 3 || len(m.commits) != 3 {
+		t.Errorf("oracle asked for %v, %d commits; want 3 and 3", o.asked, len(m.commits))
+	}
+}
+
 // TestRunNoisyOracleOneLabelPerPair: behind Run's cache a Bernoulli oracle
 // gives each pair one realised label per run, like a crowd worker who
 // answers once, however often the pair is drawn.
