@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check test test-stress race bench bench-json bench-smoke fuzz-smoke metrics-smoke trace-smoke diag-smoke serve serve-metrics example examples clean
+.PHONY: build vet fmt-check test test-stress race bench bench-json bench-smoke fuzz-smoke metrics-smoke trace-smoke diag-smoke serve serve-metrics examples clean
 
 build:
 	$(GO) build ./...
@@ -105,14 +105,12 @@ serve:
 serve-metrics:
 	$(GO) run ./cmd/oasis-server -addr :8080 -wal oasis-wal -fsync always -access-log -slow-request 500ms
 
-# End-to-end demo: in-process server + concurrent HTTP labelling workers.
-example:
-	$(GO) run ./examples/serverclient
-
-# Library examples (CI runs the same): each drives the public Run,
-# baseline and erbench API; any non-zero exit fails the target.
+# Examples (CI runs the same): quickstart, dedup, noisyoracle and ecommerce
+# drive the public Run, baseline and erbench API; serverclient starts the
+# service in-process and labels through it with concurrent HTTP workers. Any
+# non-zero exit fails the target.
 examples:
-	@for e in quickstart dedup noisyoracle ecommerce; do \
+	@for e in quickstart dedup noisyoracle ecommerce serverclient; do \
 		echo "== examples/$$e"; \
 		$(GO) run ./examples/$$e || exit 1; \
 	done

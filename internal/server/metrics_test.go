@@ -445,8 +445,8 @@ func TestMetricsExposition(t *testing.T) {
 	ts, _ := newMetricsTestServer(t, 4)
 	c := &client{t: t, base: ts.URL, http: ts.Client()}
 
-	// One OASIS session with an ID that needs label escaping, one passive
-	// session that gets deleted before the scrape.
+	// One session with an ID that needs label escaping, and one that gets
+	// deleted before the scrape.
 	weird := `we"ird\session`
 	committed := runWorkload(t, c, weird, 4, 8)
 	runWorkload(t, c, "doomed", 2, 4)

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -248,6 +250,47 @@ func TestServerCRUDAndErrors(t *testing.T) {
 	}
 	if code := c.do("GET", "/v1/sessions/crud/estimate", nil, &st); code != http.StatusOK || st.LabelsCommitted != 1 {
 		t.Fatalf("after duplicate: status %d, labels %d", code, st.LabelsCommitted)
+	}
+}
+
+// TestCreateMethod: an empty method and "oasis" both create an OASIS
+// session; the removed passive method answers 400 and names the uniform
+// configuration that serves the same baseline.
+func TestCreateMethod(t *testing.T) {
+	mgr := session.NewManager(session.ManagerOptions{})
+	ts := httptest.NewServer(New(mgr).Handler())
+	defer ts.Close()
+	post := func(body string) (int, []byte) {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, data
+	}
+	const pool = `"scores":[0.9,0.8,0.2,0.1],"preds":[true,true,false,false],"calibrated":true`
+	for _, method := range []string{"", "oasis"} {
+		code, body := post(`{"id":"m-` + method + `","method":"` + method + `",` + pool + `}`)
+		var st session.Status
+		if err := json.Unmarshal(body, &st); code != http.StatusCreated || err != nil || st.Method != session.MethodOASIS {
+			t.Fatalf("create with method %q: status %d, body %s", method, code, body)
+		}
+	}
+	code, body := post(`{"id":"p","method":"passive",` + pool + `,"options":{"Strata":4}}`)
+	var e errorBody
+	if err := json.Unmarshal(body, &e); err != nil || code != http.StatusBadRequest {
+		t.Fatalf("create with method passive: status %d, body %s", code, body)
+	}
+	if !strings.Contains(e.Error, `{"Strata": 1, "Epsilon": 1}`) {
+		t.Fatalf("refusal does not name the uniform configuration: %q", e.Error)
+	}
+	if mgr.Len() != 2 {
+		t.Fatalf("manager holds %d sessions, want 2", mgr.Len())
 	}
 }
 

@@ -218,9 +218,9 @@ func TestDiagnosticsAlarmLogsTransition(t *testing.T) {
 	}
 }
 
-// TestDiagnosticsStrataBlock checks the per-stratum block: OASIS sessions
-// expose one entry per stratum with coherent shares; passive sessions omit
-// the block entirely.
+// TestDiagnosticsStrataBlock checks the per-stratum block: a session exposes
+// one entry per stratum with coherent shares, and the uniform configuration
+// (one stratum, ε = 1) exposes exactly one.
 func TestDiagnosticsStrataBlock(t *testing.T) {
 	scores, preds, truth := testPool(2000, 29)
 	m := newTestManager(nil)
@@ -231,15 +231,15 @@ func TestDiagnosticsStrataBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := m.Create(Config{
-		ID: "p", Method: MethodPassive, Scores: scores, Preds: preds, Calibrated: true,
-		Options: oasis.Options{Strata: 7, Seed: 37},
+	su, err := m.Create(Config{
+		ID: "u", Scores: scores, Preds: preds, Calibrated: true,
+		Options: oasis.Options{Strata: 1, Epsilon: 1, Seed: 37},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	driveCommits(t, so, 30, 2, truth)
-	driveCommits(t, sp, 30, 2, truth)
+	driveCommits(t, su, 30, 2, truth)
 
 	d := so.Diagnostics()
 	if len(d.Strata) != 7 {
@@ -262,8 +262,12 @@ func TestDiagnosticsStrataBlock(t *testing.T) {
 	if weightShare < 0.999 || weightShare > 1.001 {
 		t.Fatalf("weight shares sum to %v, want 1", weightShare)
 	}
-	if dp := sp.Diagnostics(); len(dp.Strata) != 0 {
-		t.Fatalf("passive diagnostics carry %d strata, want none", len(dp.Strata))
+	du := su.Diagnostics()
+	if len(du.Strata) != 1 {
+		t.Fatalf("uniform diagnostics carry %d strata, want 1", len(du.Strata))
+	}
+	if sh := du.Strata[0]; sh.Draws != int64(du.Terms) || float64(sh.WeightShare) != 1 || float64(sh.Instrumental) != 1 {
+		t.Fatalf("uniform stratum %+v over %d terms, want every draw at weight share 1", sh, du.Terms)
 	}
 }
 

@@ -178,7 +178,7 @@ func (s *Session) replayEvent(ev *Event) (bool, error) {
 	}
 	switch ev.Type {
 	case EventPropose:
-		pairs, err := s.prop.ProposeBatch(ev.N)
+		pairs, err := s.sampler.ProposeBatch(ev.N)
 		if err != nil && !errors.Is(err, oasis.ErrExhausted) {
 			return false, fmt.Errorf("session: replay propose: %w", err)
 		}
@@ -194,7 +194,7 @@ func (s *Session) replayEvent(ev *Event) (bool, error) {
 		}
 	case EventCommit:
 		for _, cr := range ev.Commits {
-			if err := s.prop.ReplayCommit(cr.Pair, cr.Label, cr.Terms); err != nil {
+			if err := s.sampler.ReplayCommit(cr.Pair, cr.Label, cr.Terms); err != nil {
 				return false, fmt.Errorf("session: replay commit: %w", err)
 			}
 			delete(s.leases, cr.Pair)
@@ -206,7 +206,7 @@ func (s *Session) replayEvent(ev *Event) (bool, error) {
 	case EventRelease:
 		for _, pair := range ev.Pairs {
 			delete(s.leases, pair)
-			s.prop.Release(pair)
+			s.sampler.Release(pair)
 		}
 	default:
 		return false, fmt.Errorf("session: replay: unexpected session event %q", ev.Type)
@@ -223,7 +223,7 @@ func (s *Session) dropAllLeases() {
 	defer s.mu.Unlock()
 	for pair := range s.leases {
 		delete(s.leases, pair)
-		s.prop.Release(pair)
+		s.sampler.Release(pair)
 	}
 }
 

@@ -140,9 +140,10 @@ type Manager struct {
 	opts   ManagerOptions
 	jrn    *journalHolder
 
-	// deadMu guards dead: replayed creates whose referenced pool could not
-	// be resolved, pending absolution by a later replayed delete. Only WAL
-	// recovery touches it; see ReplayEvent and UnresolvedReplayCreates.
+	// deadMu guards dead: replayed sessions that cannot be rebuilt (their
+	// pool is gone, or their method was removed), pending absolution by a
+	// later replayed delete. Only WAL recovery touches it; see park and
+	// UnresolvedReplayCreates.
 	deadMu sync.Mutex
 	dead   map[string]error
 }
@@ -432,22 +433,21 @@ func (m *Manager) Len() int {
 	return n
 }
 
-// sessionSnapshot pairs a session's config with its method state. Exactly
-// one of Sampler/Passive is set. LastLSN is the session's journal high-water
-// mark at snapshot time: WAL replay skips the session's events at or below
-// it, which is what lets compaction fold cold segments into a snapshot.
-// Leases lists the pairs with a live lease; together with the proposer
-// states' pending draws this makes the snapshot exact — restored sessions
-// hold the same outstanding proposals (re-leased for a fresh TTL), so WAL
-// tail events replay against the snapshot bit-for-bit. The boot barrier
-// then releases whatever is still outstanding: every restart, graceful or
-// not, follows the lease-drop contract.
+// sessionSnapshot pairs a session's config with its sampler state. LastLSN
+// is the session's journal high-water mark at snapshot time: WAL replay
+// skips the session's events at or below it, which is what lets compaction
+// fold cold segments into a snapshot. Leases lists the pairs with a live
+// lease; together with the sampler state's pending draws this makes the
+// snapshot exact — restored sessions hold the same outstanding proposals
+// (re-leased for a fresh TTL), so WAL tail events replay against the
+// snapshot bit-for-bit. The boot barrier then releases whatever is still
+// outstanding: every restart, graceful or not, follows the lease-drop
+// contract.
 type sessionSnapshot struct {
 	Config  Config              `json:"config"`
 	LastLSN uint64              `json:"lastLSN,omitempty"`
 	Leases  []int               `json:"leases,omitempty"`
 	Sampler *oasis.SamplerState `json:"sampler,omitempty"`
-	Passive *passiveState       `json:"passive,omitempty"`
 	// Diag is the convergence-diagnostics series and alarm state, present
 	// once the session has recorded at least one commit batch (omitempty
 	// keeps pre-diagnostics snapshots decodable — they restore with an
@@ -476,12 +476,7 @@ func (s *Session) snapshot() sessionSnapshot {
 		}
 		sort.Ints(snap.Leases) // deterministic snapshot bytes
 	}
-	switch p := s.prop.(type) {
-	case *oasis.Sampler:
-		snap.Sampler = p.State()
-	case *passiveProposer:
-		snap.Passive = p.state()
-	}
+	snap.Sampler = s.sampler.State()
 	if s.diag != nil && s.diag.Series().Seen() > 0 {
 		snap.Diag = s.diag.Snapshot()
 	}
@@ -546,13 +541,13 @@ func (m *Manager) Restore(data []byte) error {
 }
 
 // RestoreReplay is Restore for WAL recovery: a session whose referenced
-// pool cannot be resolved is parked (see ErrPoolUnavailable) instead of
-// aborting the restore, because the un-replayed journal tail may hold the
-// delete that explains the missing pool — a session folded into a
-// compaction snapshot while live, then deleted, then its pool removed.
-// wal.Open fails the boot afterwards if any parked session was never
-// absolved (UnresolvedReplayCreates). Every other failure stays
-// all-or-nothing exactly as in Restore.
+// pool cannot be resolved, or whose method was removed, is parked (see park)
+// instead of aborting the restore, because the un-replayed journal tail may
+// hold the delete that absolves it — a session folded into a compaction
+// snapshot while live, then deleted, then its pool removed. wal.Open fails
+// the boot afterwards if any parked session was never absolved
+// (UnresolvedReplayCreates). Every other failure stays all-or-nothing
+// exactly as in Restore.
 func (m *Manager) RestoreReplay(data []byte) error {
 	return m.restore(data, true)
 }
@@ -591,17 +586,9 @@ func (m *Manager) restore(data []byte, parkUnavailable bool) (err error) {
 	}
 	for _, snap := range file.Sessions {
 		s, err := newSession(context.Background(), snap.Config, m.opts.DefaultLeaseTTL, m.opts.Now, m.opts.Pools, m.opts.Diag)
-		if parkUnavailable && errors.Is(err, ErrPoolUnavailable) {
-			// Park instead of aborting: tail replay may delete this session,
-			// absolving the missing pool; wal.Open checks for leftovers.
-			m.deadMu.Lock()
-			if m.dead == nil {
-				m.dead = make(map[string]error)
-			}
-			if _, seen := m.dead[snap.Config.ID]; !seen {
-				m.dead[snap.Config.ID] = err
-			}
-			m.deadMu.Unlock()
+		if parkUnavailable && m.park(snap.Config.ID, err) {
+			// Tail replay may delete this session, absolving it; wal.Open
+			// checks for leftovers.
 			continue
 		}
 		if err != nil {
@@ -612,23 +599,8 @@ func (m *Manager) restore(data []byte, parkUnavailable bool) (err error) {
 		s.jrn = m.jrn
 		s.met = m.opts.Metrics.Shard(m.ShardFor(s.id))
 		s.lastLSN = snap.LastLSN
-		switch {
-		case snap.Sampler != nil:
-			sampler, ok := s.prop.(*oasis.Sampler)
-			if !ok {
-				return fmt.Errorf("session: restore %q: sampler state for %s session", s.id, s.cfg.Method)
-			}
-			if err := sampler.RestoreState(snap.Sampler); err != nil {
-				return fmt.Errorf("session: restore %q: %w", s.id, err)
-			}
-		case snap.Passive != nil:
-			passive, ok := s.prop.(*passiveProposer)
-			if !ok {
-				return fmt.Errorf("session: restore %q: passive state for %s session", s.id, s.cfg.Method)
-			}
-			if err := passive.restore(snap.Passive); err != nil {
-				return fmt.Errorf("session: restore %q: %w", s.id, err)
-			}
+		if err := s.sampler.RestoreState(snap.Sampler); err != nil {
+			return fmt.Errorf("session: restore %q: %w", s.id, err)
 		}
 		if snap.Diag != nil {
 			// The ring capacity rides the snapshot (byte-stable series even
@@ -640,23 +612,13 @@ func (m *Manager) restore(data []byte, parkUnavailable bool) (err error) {
 			}
 			s.diag = tracker
 		}
-		labelled := func(pair int) bool {
-			switch {
-			case snap.Sampler != nil:
-				_, ok := snap.Sampler.Labels[pair]
-				return ok
-			case snap.Passive != nil:
-				_, ok := snap.Passive.Labels[pair]
-				return ok
-			}
-			return false
-		}
 		deadline := m.opts.Now().Add(s.leaseTTL)
 		for _, pair := range snap.Leases {
 			if pair < 0 || pair >= s.poolSize {
 				return fmt.Errorf("session: restore %q: lease for pair %d outside pool of %d", s.id, pair, s.poolSize)
 			}
-			if _, dup := s.leases[pair]; dup || labelled(pair) {
+			_, labelled := snap.Sampler.Labels[pair]
+			if _, dup := s.leases[pair]; dup || labelled {
 				return fmt.Errorf("session: restore %q: lease for pair %d clashes with its label state", s.id, pair)
 			}
 			s.leases[pair] = deadline
@@ -717,21 +679,12 @@ func (m *Manager) ReplayEvent(ev *Event) (bool, error) {
 		cfg := *ev.Config
 		cfg.ID = ev.Session
 		s, err := newSession(context.Background(), cfg, m.opts.DefaultLeaseTTL, m.opts.Now, m.opts.Pools, m.opts.Diag)
-		if errors.Is(err, ErrPoolUnavailable) {
-			// The pool may have been legitimately removed after this session
-			// was deleted — with the delete record still in the un-compacted
-			// tail ahead. Park the failure instead of fail-stopping here; a
-			// later replayed delete absolves it, and wal.Open turns any
-			// unabsolved entry into the deterministic boot error via
-			// UnresolvedReplayCreates.
-			m.deadMu.Lock()
-			if m.dead == nil {
-				m.dead = make(map[string]error)
-			}
-			if _, seen := m.dead[ev.Session]; !seen {
-				m.dead[ev.Session] = err
-			}
-			m.deadMu.Unlock()
+		if m.park(ev.Session, err) {
+			// The session may have been deleted before its pool was removed
+			// or its method retired, with the delete record still in the
+			// un-compacted tail ahead. A later replayed delete absolves it,
+			// and wal.Open turns any unabsolved entry into the deterministic
+			// boot error via UnresolvedReplayCreates.
 			return false, nil
 		}
 		if err != nil {
@@ -751,8 +704,8 @@ func (m *Manager) ReplayEvent(ev *Event) (bool, error) {
 		defer sh.mu.Unlock()
 		s, ok := sh.sessions[ev.Session]
 		if !ok {
-			// The delete absolves a create parked on an unresolvable pool:
-			// the session never needed to exist in the recovered state.
+			// The delete absolves a parked create: the session never needed
+			// to exist in the recovered state.
 			m.deadMu.Lock()
 			delete(m.dead, ev.Session)
 			m.deadMu.Unlock()
@@ -778,12 +731,31 @@ func (m *Manager) ReplayEvent(ev *Event) (bool, error) {
 	}
 }
 
-// UnresolvedReplayCreates reports the replayed creates whose referenced
-// pool could not be resolved and that no later delete absolved, as a
-// deterministic (ID-sorted) error — nil when recovery is clean. wal.Open
-// consults it after replay: an unabsolved entry means a live session's pool
-// is genuinely missing or corrupt, which must fail the boot rather than
-// silently drop the session.
+// park records a replayed session that cannot be rebuilt — its referenced
+// pool is unavailable, or its method was removed — pending absolution by a
+// later replayed delete, and reports whether err was such a failure. The
+// first error recorded for an ID wins.
+func (m *Manager) park(id string, err error) bool {
+	if !errors.Is(err, ErrPoolUnavailable) && !errors.Is(err, errPassiveRemoved) {
+		return false
+	}
+	m.deadMu.Lock()
+	defer m.deadMu.Unlock()
+	if m.dead == nil {
+		m.dead = make(map[string]error)
+	}
+	if _, seen := m.dead[id]; !seen {
+		m.dead[id] = err
+	}
+	return true
+}
+
+// UnresolvedReplayCreates reports the parked sessions (see park) that no
+// later delete absolved, as a deterministic (ID-sorted) error naming each
+// session and its cause — nil when recovery is clean. wal.Open consults it
+// after replay: an unabsolved entry is a live session whose pool is
+// genuinely missing or corrupt, or whose method this build no longer serves,
+// which must fail the boot rather than silently drop the session.
 func (m *Manager) UnresolvedReplayCreates() error {
 	m.deadMu.Lock()
 	defer m.deadMu.Unlock()
@@ -799,7 +771,7 @@ func (m *Manager) UnresolvedReplayCreates() error {
 	for i, id := range ids {
 		msgs[i] = fmt.Sprintf("%q: %v", id, m.dead[id])
 	}
-	return fmt.Errorf("session: replay: %d session(s) reference unresolvable pools and were never deleted: %s",
+	return fmt.Errorf("session: replay: %d session(s) cannot be rebuilt and were never deleted: %s",
 		len(ids), strings.Join(msgs, "; "))
 }
 

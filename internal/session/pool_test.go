@@ -117,11 +117,6 @@ func TestConcurrentSessionsShareOnePoolCopy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sampler, ok := s.prop.(*oasis.Sampler)
-		if !ok {
-			t.Fatal("expected an OASIS session")
-		}
-		_ = sampler
 		if s.poolSize != p.N() {
 			t.Fatalf("session %s pool size %d, store %d", status.ID, s.poolSize, p.N())
 		}

@@ -222,3 +222,40 @@ func TestRestoreCorruptSessionStateMidList(t *testing.T) {
 	}
 	requireUnmodified(t, m, pre)
 }
+
+// TestRestoreRefusesEntriesWithoutSamplerState: an entry without sampler
+// state is refused, because a fresh sampler restored under the entry's
+// watermark would make tail replay skip the session's journaled labels; so
+// is an entry of the removed passive method. WAL replay parks the passive
+// entry instead, pending a delete in the tail; a stateless entry stays
+// fatal there too.
+func TestRestoreRefusesEntriesWithoutSamplerState(t *testing.T) {
+	pool := `"scores":[0.9,0.8,0.2,0.1],"preds":[true,true,false,false],"calibrated":true`
+	bare := `{"version":1,"sessions":[{"config":{"id":"bare",` + pool + `,"options":{"Strata":2}},"lastLSN":9}]}`
+	passive := `{"version":1,"sessions":[{"config":{"id":"old","method":"passive",` + pool + `},"lastLSN":9,` +
+		`"passive":{"num":0,"pred":0,"true":0,"n":0,"rng":{"s":[1,2,3,4]}}}]}`
+	m, pre := restoreFixture(t)
+	for _, payload := range []string{bare, passive} {
+		if err := m.Restore([]byte(payload)); err == nil {
+			t.Fatalf("restore accepted %s", payload)
+		}
+	}
+	if err := m.RestoreReplay([]byte(bare)); err == nil || !strings.Contains(err.Error(), "nil sampler state") {
+		t.Fatalf("replay restore of a stateless entry: err = %v", err)
+	}
+	requireUnmodified(t, m, pre)
+
+	if err := m.RestoreReplay([]byte(passive)); err != nil {
+		t.Fatalf("replay restore did not park the passive entry: %v", err)
+	}
+	requireUnmodified(t, m, pre)
+	if err := m.UnresolvedReplayCreates(); err == nil || !strings.Contains(err.Error(), `"old": session: method "passive" was removed`) {
+		t.Fatalf("parked passive entry: err = %v", err)
+	}
+	if _, err := m.ReplayEvent(&Event{Type: EventDelete, Session: "old", LSN: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.UnresolvedReplayCreates(); err != nil {
+		t.Fatalf("delete did not absolve the parked passive entry: %v", err)
+	}
+}

@@ -1,6 +1,8 @@
 // Package session keeps many concurrent OASIS evaluations alive behind a
 // propose/commit protocol, turning the library's synchronous sampling loop
-// into a long-lived labelling service.
+// into a long-lived labelling service. Every session drives one
+// oasis.Sampler; the paper's Passive baseline is the configuration with one
+// stratum and ε = 1 (see MethodOASIS).
 //
 // The paper's oracle is a costly external resource — a crowd — which in
 // deployment answers asynchronously and in batches. A Session therefore
@@ -33,16 +35,15 @@ import (
 	"oasis/internal/trace"
 )
 
-// MethodKind selects the evaluation method backing a session.
+// MethodKind names the evaluation method backing a session.
 type MethodKind string
 
-const (
-	// MethodOASIS is the adaptive importance sampler (the default).
-	MethodOASIS MethodKind = "oasis"
-	// MethodPassive is the uniform-sampling baseline, served through the
-	// same propose/commit protocol.
-	MethodPassive MethodKind = "passive"
-)
+// MethodOASIS is the adaptive importance sampler, the one method a session
+// serves. The paper's Passive baseline is its special case with one stratum
+// and ε = 1 (Options{Strata: 1, Epsilon: 1}): every with-replacement draw
+// then weighs exactly 1 and the AIS estimate is the plain Eqn. (1)
+// estimator.
+const MethodOASIS MethodKind = "oasis"
 
 // Errors returned by sessions.
 var (
@@ -61,23 +62,13 @@ var (
 	// the log — a pool legitimately removed after its last session was
 	// deleted must not brick the boot.
 	ErrPoolUnavailable = errors.New("session: referenced pool unavailable")
+	// errPassiveRemoved refuses the passive session method, which no longer
+	// exists. WAL replay parks a journaled passive session exactly like one
+	// whose pool is gone: its uniform with-replacement pair stream differs
+	// from the one-stratum OASIS sampler's, so it cannot be replayed onto it.
+	errPassiveRemoved = errors.New(`session: method "passive" was removed (commit 7f1a01c is the last build that serves passive sessions); ` +
+		`for the uniform baseline, create an OASIS session with "options": {"Strata": 1, "Epsilon": 1}`)
 )
-
-// proposer is the batched propose/commit surface a Session drives. The
-// public oasis.Sampler implements it for OASIS; passiveProposer implements
-// it for the uniform baseline. CommitLabelTerms returns the weighted
-// estimator terms of a fresh commit (nil, nil for a duplicate) so the
-// durable journal can record them; ReplayCommit applies a journaled commit
-// during recovery.
-type proposer interface {
-	ProposeBatch(n int) ([]int, error)
-	CommitLabelTerms(pair int, label bool) ([]oasis.DrawTerm, error)
-	ReplayCommit(pair int, label bool, terms []oasis.DrawTerm) error
-	Release(pair int) bool
-	Estimate() float64
-	LabelsCommitted() int
-	Health() oasis.Health
-}
 
 // Config describes a new session: the evaluation pool (a content-addressed
 // reference into the pool store, or inline parallel score and prediction
@@ -86,7 +77,7 @@ type proposer interface {
 type Config struct {
 	// ID names the session; empty means the Manager generates one.
 	ID string `json:"id,omitempty"`
-	// Method selects the evaluation method (default MethodOASIS).
+	// Method names the evaluation method: empty or MethodOASIS.
 	Method MethodKind `json:"method,omitempty"`
 	// PoolID references a pool in the manager's content-addressed store
 	// (internal/poolstore): all sessions with the same PoolID share one
@@ -129,7 +120,7 @@ type Status struct {
 	// Estimate is the current F̂, nil while undefined (NaN is not
 	// representable in JSON).
 	Estimate *float64 `json:"estimate,omitempty"`
-	// InitialEstimate is the score-based F̂(0) (OASIS only).
+	// InitialEstimate is the score-based F̂(0) of Algorithm 2.
 	InitialEstimate *float64 `json:"initialEstimate,omitempty"`
 	// LabelsCommitted counts distinct pairs labelled so far.
 	LabelsCommitted int `json:"labelsCommitted"`
@@ -148,7 +139,7 @@ type Session struct {
 
 	id       string
 	cfg      Config
-	prop     proposer
+	sampler  *oasis.Sampler
 	leases   map[int]time.Time
 	leaseTTL time.Duration
 	now      func() time.Time
@@ -182,8 +173,13 @@ type Session struct {
 // one reference on the shared pool, returned by releasePool) or from the
 // inline columns.
 func newSession(ctx context.Context, cfg Config, defaultTTL time.Duration, now func() time.Time, pools *poolstore.Store, dg DiagOptions) (_ *Session, err error) {
-	if cfg.Method == "" {
+	switch cfg.Method {
+	case "", MethodOASIS:
 		cfg.Method = MethodOASIS
+	case "passive":
+		return nil, errPassiveRemoved
+	default:
+		return nil, fmt.Errorf("session: unknown method %q", cfg.Method)
 	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = defaultTTL
@@ -208,23 +204,14 @@ func newSession(ctx context.Context, cfg Config, defaultTTL time.Duration, now f
 	if cfg.Options.StrataBins > poolSize {
 		cfg.Options.StrataBins = poolSize
 	}
-	var prop proposer
-	switch cfg.Method {
-	case MethodOASIS:
-		s, err := newOASISSampler(ctx, p, cfg, pools)
-		if err != nil {
-			return nil, err
-		}
-		prop = s
-	case MethodPassive:
-		prop = newPassive(p, cfg.Options)
-	default:
-		return nil, fmt.Errorf("session: unknown method %q", cfg.Method)
+	smp, err := newOASISSampler(ctx, p, cfg, pools)
+	if err != nil {
+		return nil, err
 	}
 	return &Session{
 		id:          cfg.ID,
 		cfg:         cfg,
-		prop:        prop,
+		sampler:     smp,
 		leases:      make(map[int]time.Time),
 		leaseTTL:    cfg.LeaseTTL,
 		now:         now,
@@ -341,7 +328,7 @@ func (s *Session) expireLocked(now time.Time) {
 	for pair, deadline := range s.leases {
 		if now.After(deadline) {
 			delete(s.leases, pair)
-			s.prop.Release(pair)
+			s.sampler.Release(pair)
 			expired = append(expired, pair)
 		}
 	}
@@ -359,7 +346,7 @@ func (s *Session) remainingLocked() int {
 	if s.cfg.Budget <= 0 {
 		return -1
 	}
-	r := s.cfg.Budget - s.prop.LabelsCommitted() - len(s.leases)
+	r := s.cfg.Budget - s.sampler.LabelsCommitted() - len(s.leases)
 	if r < 0 {
 		r = 0
 	}
@@ -377,13 +364,6 @@ func (s *Session) Propose(n int) ([]Proposal, error) {
 	return s.ProposeCtx(context.Background(), n)
 }
 
-// rebuildStatser is implemented by proposers whose dirty-flag caches report
-// rebuild work (oasis.Sampler). The session layer reads deltas around each
-// sampler call and records them as sampler.rebuild spans when tracing.
-type rebuildStatser interface {
-	RebuildStats() (count uint64, nanos int64)
-}
-
 // samplerSpan wraps one sampler call in a span (when ctx carries a trace)
 // and attaches the dirty-flag cache rebuilds the call triggered as a
 // retroactive child span. The returned func must be called when the sampler
@@ -393,18 +373,11 @@ func (s *Session) samplerSpan(tr *trace.Trace, name string) func() {
 		return func() {}
 	}
 	sp := tr.Start("sampler", name)
-	rs, ok := s.prop.(rebuildStatser)
-	var count0 uint64
-	var nanos0 int64
-	if ok {
-		count0, nanos0 = rs.RebuildStats()
-	}
+	count0, nanos0 := s.sampler.RebuildStats()
 	return func() {
-		if ok {
-			if count, nanos := rs.RebuildStats(); count > count0 {
-				tr.AddSpan("sampler", "sampler.rebuild", time.Duration(nanos-nanos0)).
-					AttrInt("rebuilds", int64(count-count0))
-			}
+		if count, nanos := s.sampler.RebuildStats(); count > count0 {
+			tr.AddSpan("sampler", "sampler.rebuild", time.Duration(nanos-nanos0)).
+				AttrInt("rebuilds", int64(count-count0))
 		}
 		sp.End()
 	}
@@ -443,11 +416,11 @@ func (s *Session) ProposeCtx(ctx context.Context, n int) ([]Proposal, error) {
 	}
 	now := s.now()
 	s.expireLocked(now)
-	if s.prop.LabelsCommitted() >= s.poolSize {
+	if s.sampler.LabelsCommitted() >= s.poolSize {
 		return nil, ErrBudgetExhausted
 	}
 	if r := s.remainingLocked(); r >= 0 {
-		if s.cfg.Budget-s.prop.LabelsCommitted() <= 0 {
+		if s.cfg.Budget-s.sampler.LabelsCommitted() <= 0 {
 			return nil, ErrBudgetExhausted
 		}
 		if n > r {
@@ -459,7 +432,7 @@ func (s *Session) ProposeCtx(ctx context.Context, n int) ([]Proposal, error) {
 		}
 	}
 	endSampler := s.samplerSpan(tr, "sampler.propose")
-	pairs, err := s.prop.ProposeBatch(n)
+	pairs, err := s.sampler.ProposeBatch(n)
 	endSampler()
 	switch {
 	case errors.Is(err, oasis.ErrExhausted):
@@ -471,7 +444,7 @@ func (s *Session) ProposeCtx(ctx context.Context, n int) ([]Proposal, error) {
 		// Release any partially drawn batch so the pairs are not stranded
 		// as pending-without-a-lease (unleased pairs never expire).
 		for _, pair := range pairs {
-			s.prop.Release(pair)
+			s.sampler.Release(pair)
 		}
 		return nil, err
 	}
@@ -482,7 +455,7 @@ func (s *Session) ProposeCtx(ctx context.Context, n int) ([]Proposal, error) {
 			// Unacknowledged draws return to the proposable set; the sticky
 			// journal failure fail-stops the session from here on.
 			for _, pair := range pairs {
-				s.prop.Release(pair)
+				s.sampler.Release(pair)
 			}
 			return nil, jerr
 		}
@@ -569,7 +542,7 @@ func (s *Session) CommitBatchCtx(ctx context.Context, pairs []int, labels []bool
 	results := make([]CommitResult, len(pairs))
 	endSampler := s.samplerSpan(tr, "sampler.commit")
 	for i, pair := range pairs {
-		terms, err := s.prop.CommitLabelTerms(pair, labels[i])
+		terms, err := s.sampler.CommitLabelTerms(pair, labels[i])
 		switch {
 		case errors.Is(err, oasis.ErrNotProposed):
 			results[i] = Expired
@@ -621,8 +594,8 @@ func (s *Session) recordDiagLocked(tr *trace.Trace, wallNanos int64, replay bool
 	if s.diag == nil {
 		return
 	}
-	h := s.prop.Health()
-	labels := s.prop.LabelsCommitted()
+	h := s.sampler.Health()
+	labels := s.sampler.LabelsCommitted()
 	prev := s.diag.State()
 	state, changed := s.diag.Record(diag.Point{
 		Labels:    labels,
@@ -650,7 +623,7 @@ func (s *Session) recordDiagLocked(tr *trace.Trace, wallNanos int64, replay bool
 func (s *Session) Estimate() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.prop.Estimate()
+	return s.sampler.Estimate()
 }
 
 // Status reports the session's current state.
@@ -663,18 +636,16 @@ func (s *Session) Status() Status {
 		Method:           s.cfg.Method,
 		PoolSize:         s.poolSize,
 		PoolID:           s.cfg.PoolID,
-		LabelsCommitted:  s.prop.LabelsCommitted(),
+		LabelsCommitted:  s.sampler.LabelsCommitted(),
 		PendingProposals: len(s.leases),
 		Budget:           s.cfg.Budget,
 		Remaining:        s.remainingLocked(),
 	}
-	if f := s.prop.Estimate(); !math.IsNaN(f) {
+	if f := s.sampler.Estimate(); !math.IsNaN(f) {
 		st.Estimate = &f
 	}
-	if init, ok := s.prop.(interface{ InitialEstimate() float64 }); ok {
-		f0 := init.InitialEstimate()
-		st.InitialEstimate = &f0
-	}
+	f0 := s.sampler.InitialEstimate()
+	st.InitialEstimate = &f0
 	return st
 }
 
@@ -702,7 +673,7 @@ type SamplerHealth struct {
 func (s *Session) SamplerHealth() SamplerHealth {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h := s.prop.Health()
+	h := s.sampler.Health()
 	sh := SamplerHealth{
 		ID:                 s.id,
 		Method:             s.cfg.Method,
@@ -711,7 +682,7 @@ func (s *Session) SamplerHealth() SamplerHealth {
 		ESS:                h.ESS,
 		ESSRatio:           h.ESSRatio,
 		Terms:              h.Terms,
-		LabelsCommitted:    s.prop.LabelsCommitted(),
+		LabelsCommitted:    s.sampler.LabelsCommitted(),
 		PendingProposals:   len(s.leases),
 		Budget:             s.cfg.Budget,
 		PoolSize:           s.poolSize,
@@ -720,13 +691,6 @@ func (s *Session) SamplerHealth() SamplerHealth {
 		sh.State = s.diag.State()
 	}
 	return sh
-}
-
-// stratumDiagnoser is implemented by proposers that expose per-stratum
-// weight diagnostics (oasis.Sampler). Passive sessions have no strata and
-// simply omit the block.
-type stratumDiagnoser interface {
-	StratumDiagnostics() []diag.StratumHealth
 }
 
 // Diagnostics is the full convergence-diagnostics payload of one session,
@@ -751,8 +715,8 @@ type Diagnostics struct {
 	SeriesSeen   uint64       `json:"seriesSeen"`
 	SeriesStride uint64       `json:"seriesStride"`
 	MemBytes     int          `json:"memBytes"`
-	// Strata carries the per-stratum weight diagnostics (OASIS sessions
-	// only; omitted for methods without strata).
+	// Strata carries the per-stratum weight diagnostics, one entry per
+	// realised stratum.
 	Strata []diag.StratumHealth `json:"strata,omitempty"`
 }
 
@@ -762,12 +726,12 @@ type Diagnostics struct {
 func (s *Session) Diagnostics() Diagnostics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h := s.prop.Health()
+	h := s.sampler.Health()
 	d := Diagnostics{
 		ID:              s.id,
 		Method:          s.cfg.Method,
 		State:           diag.StateOK.String(),
-		LabelsCommitted: s.prop.LabelsCommitted(),
+		LabelsCommitted: s.sampler.LabelsCommitted(),
 		Terms:           h.Terms,
 		Estimate:        diag.Float(h.Estimate),
 		Variance:        diag.Float(h.AsymptoticVariance),
@@ -781,9 +745,7 @@ func (s *Session) Diagnostics() Diagnostics {
 		d.SeriesStride = s.diag.Series().Stride()
 		d.MemBytes = s.diag.MemBytes()
 	}
-	if sd, ok := s.prop.(stratumDiagnoser); ok {
-		d.Strata = sd.StratumDiagnostics()
-	}
+	d.Strata = s.sampler.StratumDiagnostics()
 	return d
 }
 

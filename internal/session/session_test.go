@@ -262,15 +262,22 @@ func TestLeaseExpiry(t *testing.T) {
 
 // TestSnapshotRestore checks the snapshot round trip: estimates are equal
 // after restore, and the restored session continues the random stream
-// exactly — identical future proposals and estimates.
+// exactly — identical future proposals and estimates. The uniform
+// configuration (one stratum, ε = 1) is the paper's Passive baseline.
 func TestSnapshotRestore(t *testing.T) {
-	for _, method := range []MethodKind{MethodOASIS, MethodPassive} {
-		t.Run(string(method), func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts oasis.Options
+	}{
+		{"oasis", oasis.Options{Strata: 15, Seed: 77}},
+		{"uniform", oasis.Options{Strata: 1, Epsilon: 1, Seed: 77}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			scores, preds, truth := testPool(2500, 21)
 			cfg := Config{
-				ID: "snap", Method: method,
+				ID:     "snap",
 				Scores: scores, Preds: preds, Calibrated: true,
-				Options: oasis.Options{Strata: 15, Seed: 77},
+				Options: tc.opts,
 			}
 			m := newTestManager(nil)
 			s, err := m.Create(cfg)

@@ -16,8 +16,9 @@ import (
 
 // TestReplayRebuildsDiagnosticsByteIdentical crashes a journaled manager
 // (no snapshot, no shutdown) and checks the recovered sessions' diagnostics
-// payloads match the live ones byte for byte, for both an OASIS and a
-// passive session, with enough batches to force series compactions.
+// payloads match the live ones byte for byte, for both an OASIS session and
+// one in the uniform configuration (one stratum, ε = 1: the paper's Passive
+// baseline), with enough batches to force series compactions.
 func TestReplayRebuildsDiagnosticsByteIdentical(t *testing.T) {
 	scores, preds, truth := walPool(3000, 41)
 	now := time.Unix(9000, 0)
@@ -28,24 +29,24 @@ func TestReplayRebuildsDiagnosticsByteIdentical(t *testing.T) {
 	live := session.NewManager(session.ManagerOptions{Now: clock, Diag: diagOpts})
 	mustOpen(t, dir, live, Options{Fsync: "off"})
 
-	mkCfg := func(id string, method session.MethodKind, seed uint64) session.Config {
+	mkCfg := func(id string, opts oasis.Options) session.Config {
 		return session.Config{
-			ID: id, Method: method,
+			ID:     id,
 			Scores: scores, Preds: preds, Calibrated: true,
-			Options: oasis.Options{Strata: 9, Seed: seed},
+			Options: opts,
 		}
 	}
-	so, err := live.Create(mkCfg("oasis", session.MethodOASIS, 43))
+	so, err := live.Create(mkCfg("oasis", oasis.Options{Strata: 9, Seed: 43}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := live.Create(mkCfg("passive", session.MethodPassive, 47))
+	su, err := live.Create(mkCfg("uniform", oasis.Options{Strata: 1, Epsilon: 1, Seed: 47}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 40; round++ {
 		driveRound(t, so, 3, truth)
-		driveRound(t, sp, 3, truth)
+		driveRound(t, su, 3, truth)
 	}
 	if d := so.Diagnostics(); d.SeriesStride < 2 {
 		t.Fatalf("fixture did not force a compaction: stride %d", d.SeriesStride)
@@ -61,7 +62,7 @@ func TestReplayRebuildsDiagnosticsByteIdentical(t *testing.T) {
 	j2 := mustOpen(t, dir, recovered, Options{Fsync: "off"})
 	defer j2.Close()
 
-	for _, id := range []string{"oasis", "passive"} {
+	for _, id := range []string{"oasis", "uniform"} {
 		a, err := live.Get(id)
 		if err != nil {
 			t.Fatal(err)

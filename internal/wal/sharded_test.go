@@ -26,11 +26,11 @@ import (
 )
 
 // eqCfg builds the session config used by the equivalence tests.
-func eqCfg(id string, method session.MethodKind, seed uint64, scores []float64, preds []bool) session.Config {
+func eqCfg(id string, opts oasis.Options, scores []float64, preds []bool) session.Config {
 	return session.Config{
-		ID: id, Method: method,
+		ID:     id,
 		Scores: scores, Preds: preds, Calibrated: true,
-		Options:  oasis.Options{Strata: 12, Seed: seed},
+		Options:  opts,
 		LeaseTTL: time.Minute,
 	}
 }
@@ -75,12 +75,13 @@ func equivalenceWorkload(t *testing.T, m *session.Manager, ids []string, truth [
 func TestShardedReplayEquivalence(t *testing.T) {
 	scores, preds, truth := walPool(3000, 57)
 	ids := make([]string, 6)
-	methods := make([]session.MethodKind, len(ids))
+	opts := make([]oasis.Options, len(ids))
 	for i := range ids {
 		ids[i] = fmt.Sprintf("eq-%d", i)
-		methods[i] = session.MethodOASIS
+		opts[i] = oasis.Options{Strata: 12, Seed: uint64(100 + i)}
 		if i%3 == 2 {
-			methods[i] = session.MethodPassive
+			// The uniform configuration: the paper's Passive baseline.
+			opts[i] = oasis.Options{Strata: 1, Epsilon: 1, Seed: uint64(100 + i)}
 		}
 	}
 
@@ -91,7 +92,7 @@ func TestShardedReplayEquivalence(t *testing.T) {
 			// requireSameContinuation never advances a shared instance.
 			ref := session.NewManager(session.ManagerOptions{})
 			for i, id := range ids {
-				if _, err := ref.Create(eqCfg(id, methods[i], uint64(100+i), scores, preds)); err != nil {
+				if _, err := ref.Create(eqCfg(id, opts[i], scores, preds)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -109,7 +110,7 @@ func TestShardedReplayEquivalence(t *testing.T) {
 				t.Fatalf("manager has %d shards, want %d", got, shards)
 			}
 			for i, id := range ids {
-				if _, err := live.Create(eqCfg(id, methods[i], uint64(100+i), scores, preds)); err != nil {
+				if _, err := live.Create(eqCfg(id, opts[i], scores, preds)); err != nil {
 					t.Fatal(err)
 				}
 			}

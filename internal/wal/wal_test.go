@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -112,8 +114,9 @@ func requireSameContinuation(t *testing.T, a, b *session.Session, rounds, batch 
 // TestRecoveryContinuesExactly is the golden recovery test: a manager
 // journaled to a WAL, killed without any shutdown (the journal is simply
 // abandoned), recovers from the log alone and continues the exact proposal
-// sequence of the live manager — across an OASIS session, a passive
-// session, lease expiries, uncommitted proposals at the crash point, and a
+// sequence of the live manager — across an OASIS session, a session in the
+// uniform configuration (one stratum, ε = 1: the paper's Passive baseline),
+// lease expiries, uncommitted proposals at the crash point, and a
 // delete/recreate of a session ID.
 func TestRecoveryContinuesExactly(t *testing.T) {
 	scores, preds, truth := walPool(4000, 7)
@@ -124,26 +127,26 @@ func TestRecoveryContinuesExactly(t *testing.T) {
 	live := session.NewManager(session.ManagerOptions{Now: clock})
 	mustOpen(t, dir, live, Options{Fsync: "off"})
 
-	mkCfg := func(id string, method session.MethodKind, seed uint64) session.Config {
+	mkCfg := func(id string, opts oasis.Options) session.Config {
 		return session.Config{
-			ID: id, Method: method,
+			ID:     id,
 			Scores: scores, Preds: preds, Calibrated: true,
-			Options:  oasis.Options{Strata: 15, Seed: seed},
+			Options:  opts,
 			LeaseTTL: 30 * time.Second,
 		}
 	}
-	so, err := live.Create(mkCfg("oasis", session.MethodOASIS, 11))
+	so, err := live.Create(mkCfg("oasis", oasis.Options{Strata: 15, Seed: 11}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := live.Create(mkCfg("passive", session.MethodPassive, 13))
+	su, err := live.Create(mkCfg("uniform", oasis.Options{Strata: 1, Epsilon: 1, Seed: 13}))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// A session that is created, driven, deleted, and recreated under the
 	// same ID: the LSN watermarks must keep the incarnations apart.
-	tmp, err := live.Create(mkCfg("ephemeral", session.MethodOASIS, 17))
+	tmp, err := live.Create(mkCfg("ephemeral", oasis.Options{Strata: 15, Seed: 17}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,14 +154,14 @@ func TestRecoveryContinuesExactly(t *testing.T) {
 	if err := live.Delete("ephemeral"); err != nil {
 		t.Fatal(err)
 	}
-	se, err := live.Create(mkCfg("ephemeral", session.MethodOASIS, 19))
+	se, err := live.Create(mkCfg("ephemeral", oasis.Options{Strata: 15, Seed: 19}))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for round := 0; round < 12; round++ {
 		driveRound(t, so, 8, truth)
-		driveRound(t, sp, 8, truth)
+		driveRound(t, su, 8, truth)
 		driveRound(t, se, 4, truth)
 		if round == 5 {
 			// Let a batch of leases expire: the releases must be journaled
@@ -174,7 +177,7 @@ func TestRecoveryContinuesExactly(t *testing.T) {
 	if _, err := so.Propose(5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sp.Propose(3); err != nil {
+	if _, err := su.Propose(3); err != nil {
 		t.Fatal(err)
 	}
 
@@ -196,7 +199,7 @@ func TestRecoveryContinuesExactly(t *testing.T) {
 	}
 	live.SetJournal(nil)
 
-	for _, id := range []string{"oasis", "passive", "ephemeral"} {
+	for _, id := range []string{"oasis", "uniform", "ephemeral"} {
 		a, err := live.Get(id)
 		if err != nil {
 			t.Fatal(err)
@@ -916,4 +919,115 @@ func TestUnmarshalableCreateNotSticky(t *testing.T) {
 		t.Fatal(err)
 	}
 	driveRound(t, s, 6, truth)
+}
+
+// passiveLaneSnapshot is a session-manager snapshot payload holding one
+// passive session, as the last build that served the passive method wrote
+// it: the session's config, its lease, the passive proposer's state and its
+// diagnostics series.
+const passiveLaneSnapshot = `{"version":1,"sessions":[{"config":{"id":"legacy","method":"passive","scores":[0.9,0.8,0.3,0.2,0.1,0.05],"preds":[true,true,false,false,false,false],"calibrated":true,"options":{"Alpha":0,"Recall":false,"Epsilon":0,"Strata":0,"StrataBins":0,"Stratifier":0,"PriorStrength":0,"NoPriorDecay":false,"PosteriorEstimate":false,"Seed":5},"leaseTTL":60000000000},"leases":[4],"passive":{"num":1,"pred":1,"true":1,"n":3,"rng":{"s":[2257925110904735759,5580513865578336448,7760565123633837333,7807585761739925291]},"labels":{"1":true,"3":false},"pending":[{"pair":4,"w":1}],"sumW":3,"sumW2":3,"yy":1,"yz":1,"zz":1},"diag":{"series":{"capacity":512,"stride":1,"next":2,"points":[{"seq":0,"labels":1,"wall":1792394272084190211,"estimate":1,"variance":0,"essRatio":1,"terms":1},{"seq":1,"labels":2,"wall":1792394272084195570,"estimate":1,"variance":0,"essRatio":1,"terms":3}]},"state":0}}]}`
+
+// TestOpenRefusesPassiveSessions: the passive session method is gone, and
+// its pair stream cannot be replayed onto the one-stratum OASIS sampler. A
+// journal that still holds a live passive session — created in the tail,
+// or restored from a lane snapshot — refuses to boot with an error naming
+// the session and the method, and leaves every file byte-identical. A later
+// delete in the tail absolves the session, and the journal boots.
+func TestOpenRefusesPassiveSessions(t *testing.T) {
+	scores, preds, truth := walPool(400, 29)
+	legacy := session.Config{
+		ID: "legacy", Method: "passive",
+		Scores: scores, Preds: preds, Calibrated: true,
+		Options: oasis.Options{Seed: 5},
+	}
+	for _, tc := range []struct {
+		name              string
+		snapshot, deleted bool
+	}{
+		{"tail", false, false},
+		{"tail-deleted", false, true},
+		{"snapshot", true, false},
+		{"snapshot-deleted", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			mgr := session.NewManager(session.ManagerOptions{})
+			j := mustOpen(t, dir, mgr, Options{Fsync: "off"})
+			keep, err := mgr.Create(session.Config{
+				ID: "keep", Scores: scores, Preds: preds, Calibrated: true,
+				Options: oasis.Options{Strata: 6, Seed: 7},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			driveRound(t, keep, 4, truth)
+			if !tc.snapshot {
+				if _, err := j.Append(&session.Event{Type: session.EventCreate, Session: "legacy", Config: &legacy}); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := j.Append(&session.Event{Type: session.EventPropose, Session: "legacy", N: 2, Pairs: []int{3, 17}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.deleted {
+				if _, err := j.Append(&session.Event{Type: session.EventDelete, Session: "legacy"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.snapshot {
+				// A lane snapshot at the boundary of the only segment: the
+				// segment still replays after the snapshot is restored.
+				env, err := json.Marshal(snapshotEnvelope{Version: 2, Lane: new(int), Sessions: json.RawMessage(passiveLaneSnapshot)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				seg := dirInv(t, dir).laneSegs[0][0]
+				if err := os.WriteFile(filepath.Join(dir, snapshotName(0, seg)), env, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			before := dirBytes(t, dir)
+			recovered := session.NewManager(session.ManagerOptions{})
+			j2, err := Open(dir, recovered, Options{Fsync: "off"})
+			if tc.deleted {
+				if err != nil {
+					t.Fatalf("journal whose passive session was deleted: %v", err)
+				}
+				defer j2.Close()
+				if _, err := recovered.Get("legacy"); err == nil || recovered.Len() != 1 {
+					t.Fatalf("recovered %d sessions, legacy lookup err %v; want just keep", recovered.Len(), err)
+				}
+				keep, err := recovered.Get("keep")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st := keep.Status(); st.LabelsCommitted != 4 {
+					t.Fatalf("keep recovered %d labels, want 4", st.LabelsCommitted)
+				}
+				return
+			}
+			if err == nil {
+				j2.Close()
+				t.Fatal("journal holding a live passive session booted")
+			}
+			for _, want := range []string{`"legacy"`, `method "passive"`, "7f1a01c", "never deleted"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("boot error does not name %s: %v", want, err)
+				}
+			}
+			after := dirBytes(t, dir)
+			if len(after) != len(before) {
+				t.Fatalf("directory changed: %d files before, %d after", len(before), len(after))
+			}
+			for name, b := range before {
+				if a, ok := after[name]; !ok || !bytes.Equal(a, b) {
+					t.Fatalf("file %s changed or vanished", name)
+				}
+			}
+		})
+	}
 }

@@ -154,13 +154,16 @@ type Result struct {
 
 // Sampler is the OASIS adaptive importance sampler over a pool.
 //
-// A Sampler can be driven two ways, not mixed on one Sampler: synchronously,
-// with Run pulling labels from an OracleFunc (the paper's sequential
-// Algorithm 3), or asynchronously, with ProposeBatch/CommitLabel pushing
-// labels in as an external labelling resource (a crowd, a service queue)
-// produces them (the bounded engine the service runs). A Sampler is not safe
-// for concurrent use; the session subsystem (internal/session, served by
-// cmd/oasis-server) adds locking, leases and persistence on top.
+// A Sampler can be driven two ways: synchronously, with Run pulling labels
+// from an OracleFunc (the paper's sequential Algorithm 3), or
+// asynchronously, with ProposeBatch/CommitLabel pushing labels in as an
+// external labelling resource (a crowd, a service queue) produces them (the
+// bounded engine the service runs). Both keep one label cache, so State,
+// LabelsCommitted and later proposals see every label either bought; Run
+// labels a fresh sampler only, and ProposeBatch may continue after it. A
+// Sampler is not safe for concurrent use; the session subsystem
+// (internal/session, served by cmd/oasis-server) adds locking, leases and
+// persistence on top.
 type Sampler struct {
 	inner *core.Sampler
 	str   *strata.Strata
@@ -435,11 +438,19 @@ func (s *Sampler) StratumDiagnostics() []diag.StratumHealth {
 // `budget` distinct pairs are labelled. It returns the final estimate. A run
 // whose draws keep landing on labelled pairs (e.g. a budget above the pool
 // size) stops after 200·budget + 1000 draws instead, with LabelsConsumed
-// below budget. Labels are cached per call, matching the paper's accounting.
-// Callers that run their own labelling loop use ProposeBatch and
-// CommitLabel instead.
+// below budget. Every label Run buys lands in the sampler's label cache, as
+// a CommitLabel would. Run needs a sampler that holds no labels and no
+// outstanding proposals yet; on any other it returns an error.
 func (s *Sampler) Run(o OracleFunc, budget int) (*Result, error) {
-	return run(s.inner, o, budget)
+	if len(s.labels) > 0 || len(s.pendingSlab) > 0 {
+		return nil, errors.New("oasis: Run needs a sampler with no labels and no outstanding proposals")
+	}
+	defer s.resetAvailability()
+	return run(s.inner, func(i int) bool {
+		label := o(i)
+		s.labels[i] = label
+		return label
+	}, budget)
 }
 
 // ErrNotProposed is returned by CommitLabel for a pair that has no

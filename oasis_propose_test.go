@@ -237,3 +237,67 @@ func TestCommitLabelLifecycle(t *testing.T) {
 		t.Fatalf("pending = %d, want 4", got)
 	}
 }
+
+// TestUniformConfigurationIsPassive: with one stratum and ε = 1, Eqn. (12)
+// gives v = ω = 1, so every with-replacement draw weighs exactly 1 and the
+// AIS estimate is the plain Eqn. (1) estimator of the paper's Passive
+// baseline. The one other weight is direct mode's: after 32 consecutive
+// draws that yield no fresh proposal, ProposeBatch picks uniformly among the
+// avail proposable pairs, a draw of probability 1/avail instead of 1/N,
+// weighted avail/N. Labelling to exhaustion must see no third weight.
+func TestUniformConfigurationIsPassive(t *testing.T) {
+	const n = 4000
+	scores, preds, truth, _ := syntheticScores(n, 37)
+	for _, tc := range []struct {
+		name string
+		kind oasis.ScoreKind
+	}{
+		{"calibrated", oasis.CalibratedScores},
+		{"uncalibrated", oasis.UncalibratedScores},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := oasis.NewPool(scores, preds, tc.kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := oasis.NewSampler(p, oasis.Options{Strata: 1, Epsilon: 1, Seed: 41})
+			if err != nil {
+				t.Fatal(err)
+			}
+			firstDirect := 0 // label count at the first direct-mode proposal
+			for {
+				labels := s.LabelsCommitted()
+				batch, err := s.ProposeBatch(1)
+				if errors.Is(err, oasis.ErrExhausted) {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				terms, err := s.CommitLabelTerms(batch[0], truth[batch[0]])
+				if err != nil || len(terms) != 1 || terms[0].Stratum != 0 {
+					t.Fatalf("label %d: terms %+v, err %v; want one stratum-0 term", labels, terms, err)
+				}
+				switch w, direct := terms[0].Weight, float64(n-labels)/n; {
+				case w == 1:
+				case w == direct:
+					if firstDirect == 0 {
+						firstDirect = labels + 1
+					}
+				default:
+					t.Fatalf("label %d: term weight %v, want 1 or avail/N = %v", labels, w, direct)
+				}
+				if h := s.Health(); firstDirect == 0 && h.ESSRatio != 1 {
+					t.Fatalf("label %d: ESS ratio %v before any direct-mode proposal, want exactly 1", labels, h.ESSRatio)
+				}
+			}
+			if got := s.LabelsCommitted(); got != n {
+				t.Fatalf("exhausted after %d labels, want %d", got, n)
+			}
+			if firstDirect == 0 {
+				t.Fatal("no direct-mode proposal, so its weight went unchecked")
+			}
+			t.Logf("first direct-mode proposal at label %d of %d", firstDirect, n)
+		})
+	}
+}

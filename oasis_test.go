@@ -309,6 +309,70 @@ func TestRunRejectsBadBudget(t *testing.T) {
 	}
 }
 
+// TestRunKeepsLabels: the labels Run buys are the sampler's committed labels,
+// so the counters and the snapshot see them, later proposals never buy one
+// again, and a second Run on the same sampler is refused.
+func TestRunKeepsLabels(t *testing.T) {
+	scores, preds, truth, _ := syntheticScores(3000, 19)
+	p, err := oasis.NewPool(scores, preds, oasis.CalibratedScores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := oasis.NewSampler(p, oasis.Options{Strata: 10, Seed: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bought := make(map[int]bool)
+	res, err := s.Run(func(i int) bool { bought[i] = true; return truth[i] }, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.LabelsConsumed != 50 || len(bought) != 50 {
+		t.Fatalf("Run consumed %d labels over %d oracle pairs, want 50", res.LabelsConsumed, len(bought))
+	}
+	if got := s.LabelsCommitted(); got != 50 {
+		t.Fatalf("LabelsCommitted() = %d after Run, want 50", got)
+	}
+	st := s.State()
+	if len(st.Labels) != 50 {
+		t.Fatalf("State() holds %d labels after Run, want 50", len(st.Labels))
+	}
+	for pair := range bought {
+		if l, ok := st.Labels[pair]; !ok || l != truth[pair] {
+			t.Fatalf("State() label of bought pair %d = %v, %v", pair, l, ok)
+		}
+	}
+	if _, err := s.Run(func(i int) bool { return truth[i] }, 10); err == nil {
+		t.Fatal("a second Run on a labelled sampler was accepted")
+	}
+
+	for round := 0; round < 100; round++ {
+		batch, err := s.ProposeBatch(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pair := range batch {
+			if bought[pair] {
+				t.Fatalf("round %d: ProposeBatch re-proposed pair %d that Run bought", round, pair)
+			}
+			if err := s.CommitLabel(pair, truth[pair]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	fresh, err := oasis.NewSampler(p, oasis.Options{Strata: 10, Seed: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.ProposeBatch(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.Run(func(i int) bool { return truth[i] }, 10); err == nil {
+		t.Fatal("Run on a sampler with an outstanding proposal was accepted")
+	}
+}
+
 // ExampleSampler demonstrates the quickstart flow on synthetic scores.
 func ExampleSampler() {
 	// Scores and predictions from an ER system; ground truth via an oracle.

@@ -89,6 +89,25 @@ func TestPinnedSequences(t *testing.T) {
 		})
 	}
 
+	// Sampler.Run is the paper's sequential Algorithm 3: pin every oracle
+	// call (a first query of a pair, in order) and the final estimate.
+	t.Run("oasis-run", func(t *testing.T) {
+		s, err := oasis.NewSampler(p, oasis.Options{Strata: 30, Seed: 13})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		res, err := s.Run(func(i int) bool { writePair(h, i); return truth[i] }, 2000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const wantHash, wantBits = 0x986bd2ad2ed753d0, 0x3fc9c79a9511b4ad
+		if got, bits := h.Sum64(), math.Float64bits(res.FMeasure); got != wantHash || bits != wantBits {
+			t.Errorf("oracle hash %#x, estimate bits %#x (%v); pinned %#x, %#x",
+				got, bits, res.FMeasure, uint64(wantHash), uint64(wantBits))
+		}
+	})
+
 	t.Run("stratified-baseline", func(t *testing.T) {
 		m, err := oasis.NewStratifiedSampler(p, oasis.Options{Seed: 10})
 		if err != nil {
