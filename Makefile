@@ -30,13 +30,13 @@ test-stress:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
-# Hot-path microbenchmarks: core draw/commit, public batched proposals, the
-# HTTP propose/labels round trip, the WAL durability tax, the parallel
-# commit throughput of the sharded manager + WAL lanes, the inline vs
-# content-addressed (pool store) session-create cost over a 1M-pair pool
-# (including the warm zero-copy path), and the cold pool load (mmap vs
-# streaming decode).
-HOT_BENCH = BenchmarkDraw$$|BenchmarkDrawCommit$$|BenchmarkInstrumental$$|BenchmarkProposeBatch|BenchmarkProposeCommit$$|BenchmarkServerPropose$$|BenchmarkCommitDurable|BenchmarkManagerParallel|BenchmarkServerProposeParallel|BenchmarkSessionCreate|BenchmarkPoolAcquire
+# Hot-path microbenchmarks: core draw/commit, public batched proposals (also
+# with 80% of the pool labelled), the HTTP propose/labels round trip, the
+# WAL durability tax, the parallel commit throughput of the sharded manager
+# + WAL lanes, the inline vs content-addressed (pool store) session-create
+# cost over a 1M-pair pool (including the warm zero-copy path), and the
+# cold pool load (mmap vs streaming decode).
+HOT_BENCH = BenchmarkDraw$$|BenchmarkDrawCommit$$|BenchmarkInstrumental$$|BenchmarkProposeBatch|BenchmarkProposeCommit$$|BenchmarkProposeNearExhaustion|BenchmarkServerPropose$$|BenchmarkCommitDurable|BenchmarkManagerParallel|BenchmarkServerProposeParallel|BenchmarkSessionCreate|BenchmarkPoolAcquire
 HOT_BENCH_PKGS = ./internal/core ./internal/server ./internal/wal ./internal/poolstore .
 
 # Run the hot-path microbenchmarks and append the results to the

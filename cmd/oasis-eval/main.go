@@ -80,46 +80,29 @@ func main() {
 		if *alpha == 0 {
 			opts.Recall = true
 		}
-		var res *oasis.Result
+		// OASIS and the baselines run through the same loop.
+		var m interface {
+			Run(oasis.OracleFunc, int) (*oasis.Result, error)
+		}
+		var err error
 		switch *method {
 		case "oasis":
-			s, err := oasis.NewSampler(pool, opts)
-			if err != nil {
-				log.Fatal(err)
-			}
-			res, err = s.Run(oracle, *budget)
-			if err != nil {
-				log.Fatal(err)
-			}
+			m, err = oasis.NewSampler(pool, opts)
 		case "passive":
-			m, err := oasis.NewPassiveSampler(pool, opts)
-			if err != nil {
-				log.Fatal(err)
-			}
-			res, err = m.Run(oracle, *budget)
-			if err != nil {
-				log.Fatal(err)
-			}
+			m, err = oasis.NewPassiveSampler(pool, opts)
 		case "stratified":
-			m, err := oasis.NewStratifiedSampler(pool, opts)
-			if err != nil {
-				log.Fatal(err)
-			}
-			res, err = m.Run(oracle, *budget)
-			if err != nil {
-				log.Fatal(err)
-			}
+			m, err = oasis.NewStratifiedSampler(pool, opts)
 		case "is":
-			m, err := oasis.NewISSampler(pool, opts)
-			if err != nil {
-				log.Fatal(err)
-			}
-			res, err = m.Run(oracle, *budget)
-			if err != nil {
-				log.Fatal(err)
-			}
+			m, err = oasis.NewISSampler(pool, opts)
 		default:
 			log.Fatalf("unknown method %q", *method)
+		}
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := m.Run(oracle, *budget)
+		if err != nil {
+			log.Fatal(err)
 		}
 		line := fmt.Sprintf("run %d: F=%.4f labels=%d iterations=%d",
 			run, res.FMeasure, res.LabelsConsumed, res.Iterations)

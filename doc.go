@@ -22,11 +22,11 @@
 //	res, err := sampler.Run(oracleFunc, 1000) // oracleFunc(i) returns the true label of pair i
 //	fmt.Println(res.FMeasure)
 //
-// Run is the paper's sequential Algorithm 3: one draw at a time, with
-// replacement, the oracle asked the first time a pair comes up (footnote 5)
-// and every draw folded into the estimate. Baselines used in the paper's
-// comparison (passive, proportional stratified, static importance sampling)
-// are available through NewPassiveSampler, NewStratifiedSampler and
+// Run is the paper's sequential Algorithm 3: draws with replacement, the
+// oracle asked the first time a pair comes up (footnote 5) and every draw
+// folded into the estimate. Baselines used in the paper's comparison
+// (passive, proportional stratified, static importance sampling) are
+// available through NewPassiveSampler, NewStratifiedSampler and
 // NewISSampler, whose Run is the same loop; the full experimental testbed —
 // synthetic versions of the six benchmark datasets, the ER pipeline and
 // classifiers, and the error-curve harness — lives in the erbench
@@ -39,16 +39,15 @@
 // current instrumental distribution without consuming labels, and
 // CommitLabel folds answers back into the posterior and the estimate as
 // they arrive, in any order — the estimator is unchanged because each
-// draw's importance weight is frozen at draw time. ProposeBatch is the
-// bounded engine the service runs: after 32 consecutive draws of labelled
-// or outstanding pairs it draws the next proposal from the instrumental
-// distribution restricted to proposable pairs, where Run keeps drawing
-// with replacement up to its draw cap. The service layer builds
-// on this: internal/session keeps many concurrent evaluations alive behind
-// a lease-based propose/commit protocol, and cmd/oasis-server exposes it
-// over HTTP, either in memory or durably behind the write-ahead log (see the repository README for the
-// API walkthrough and examples/serverclient for a runnable end-to-end
-// demo).
+// draw's importance weight is frozen at draw time. Run is this engine one
+// proposal at a time. After 32 consecutive draws of labelled or
+// outstanding pairs it draws the next proposal from the instrumental
+// distribution restricted to proposable pairs, so it never stalls on a
+// labelled pool. The service layer builds on this: internal/session keeps
+// many concurrent evaluations alive behind a lease-based propose/commit
+// protocol, and cmd/oasis-server exposes it over HTTP, either in memory or
+// durably behind the write-ahead log (see the repository README for the API
+// walkthrough and examples/serverclient for a runnable end-to-end demo).
 //
 // Labels are durable. The session layer is a deterministic state machine —
 // every draw comes from an explicitly seeded stream and the instrumental

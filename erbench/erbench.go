@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"oasis"
-	"oasis/internal/core"
 	"oasis/internal/dataset"
 	"oasis/internal/diag"
 	"oasis/internal/experiment"
@@ -249,8 +248,9 @@ func (c HarnessConfig) withDefaults() HarnessConfig {
 type Curves = experiment.Curves
 
 // factory builds the experiment factory for a method over a pool.
-func factory(kind MethodKind, p *pool.Pool, cfg HarnessConfig) (experiment.Factory, error) {
+func factory(kind MethodKind, b *BuiltPool, cfg HarnessConfig) (experiment.Factory, error) {
 	name := kind.String()
+	p := b.inner
 	switch kind {
 	case Passive:
 		return experiment.Factory{Name: name, New: func(seed uint64) (sampler.Method, error) {
@@ -270,37 +270,39 @@ func factory(kind MethodKind, p *pool.Pool, cfg HarnessConfig) (experiment.Facto
 			return sampler.NewIS(p, sampler.ISConfig{Alpha: cfg.Alpha, Epsilon: cfg.Epsilon, Naive: naive}, rng.New(seed))
 		}}, nil
 	case OASIS:
-		s, err := oasisStrata(p, cfg)
+		// Every run of an experiment shares the one stratification.
+		st, err := oasis.Stratify(b.Pool, cfg.options(0))
 		if err != nil {
 			return experiment.Factory{}, err
 		}
 		name = fmt.Sprintf("OASIS %d", cfg.Strata)
 		return experiment.Factory{Name: name, New: func(seed uint64) (sampler.Method, error) {
-			return core.New(p, s, cfg.coreConfig(), rng.New(seed))
+			s, err := oasis.NewSamplerStratified(b.Pool, cfg.options(seed), st)
+			if err != nil {
+				return nil, err
+			}
+			return sampler.Served{Proposer: s}, nil
 		}}, nil
 	default:
 		return experiment.Factory{}, fmt.Errorf("erbench: unknown method %d", kind)
 	}
 }
 
-// oasisStrata stratifies p as cfg asks of OASIS: CSF, or equal-size strata
-// for the ablation. Every run of an experiment shares the one layout.
-func oasisStrata(p *pool.Pool, cfg HarnessConfig) (*strata.Strata, error) {
-	if cfg.EqualSizeStrata {
-		return strata.EqualSize(p, cfg.Strata)
-	}
-	return strata.CSF(p, cfg.Strata, 0)
-}
-
-// coreConfig is the OASIS configuration cfg describes.
-func (c HarnessConfig) coreConfig() core.Config {
-	return core.Config{
+// options is the OASIS configuration cfg describes, seeded with seed.
+func (c HarnessConfig) options(seed uint64) oasis.Options {
+	opts := oasis.Options{
 		Alpha:             c.Alpha,
+		Strata:            c.Strata,
 		Epsilon:           c.Epsilon,
 		PriorStrength:     c.PriorStrength,
-		DisablePriorDecay: c.NoPriorDecay,
+		NoPriorDecay:      c.NoPriorDecay,
 		PosteriorEstimate: c.PosteriorEstimate,
+		Seed:              seed,
 	}
+	if c.EqualSizeStrata {
+		opts.Stratifier = oasis.EqualSizeStratifier
+	}
+	return opts
 }
 
 // RunCurves runs the multi-repeat experiment of Figure 2/3 for one method on
@@ -308,7 +310,7 @@ func (c HarnessConfig) coreConfig() core.Config {
 // function of labels consumed.
 func RunCurves(b *BuiltPool, kind MethodKind, cfg HarnessConfig) (*Curves, error) {
 	cfg = cfg.withDefaults()
-	f, err := factory(kind, b.inner, cfg)
+	f, err := factory(kind, b, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +327,7 @@ func RunCurves(b *BuiltPool, kind MethodKind, cfg HarnessConfig) (*Curves, error
 // final budget with a ~95% confidence half-width (Figure 5's statistic).
 func FinalError(b *BuiltPool, kind MethodKind, cfg HarnessConfig) (mean, ci float64, err error) {
 	cfg = cfg.withDefaults()
-	f, err := factory(kind, b.inner, cfg)
+	f, err := factory(kind, b, cfg)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -339,6 +341,7 @@ func FinalError(b *BuiltPool, kind MethodKind, cfg HarnessConfig) (mean, ci floa
 }
 
 // Timing reports per-run and per-iteration CPU cost of a method (Table 3).
+// An OASIS iteration is one label: see Curves.MeanIterations.
 type Timing struct {
 	Method       string
 	PerRun       time.Duration
@@ -349,7 +352,7 @@ type Timing struct {
 // RunTiming measures the average sampling cost of a method over the pool.
 func RunTiming(b *BuiltPool, kind MethodKind, cfg HarnessConfig) (*Timing, error) {
 	cfg = cfg.withDefaults()
-	f, err := factory(kind, b.inner, cfg)
+	f, err := factory(kind, b, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -381,16 +384,17 @@ type Convergence = experiment.Convergence
 // pool: F, π and v* errors plus KL(v*‖v̂) as labels accumulate.
 func RunConvergence(b *BuiltPool, cfg HarnessConfig, every int) (*Convergence, error) {
 	cfg = cfg.withDefaults()
-	s, err := oasisStrata(b.inner, cfg)
+	opts := cfg.options(cfg.Seed)
+	st, err := oasis.Stratify(b.Pool, opts)
 	if err != nil {
 		return nil, err
 	}
-	o, err := core.New(b.inner, s, cfg.coreConfig(), rng.New(cfg.Seed))
+	s, err := oasis.NewSamplerStratified(b.Pool, opts, st)
 	if err != nil {
 		return nil, err
 	}
 	orc := oracle.FromProbs(b.TruthProb, rng.New(cfg.Seed^0xabcdef))
-	return experiment.RunConvergence(o, b.inner, s, cfg.Alpha, cfg.Budget, every, orc)
+	return experiment.RunConvergence(s, b.inner, st.Internal(), cfg.Alpha, cfg.Budget, every, orc)
 }
 
 // StratumSummary describes one CSF stratum (Figure 1's bars).
@@ -462,19 +466,7 @@ func RunDiagnostics(b *BuiltPool, cfg HarnessConfig, every, capacity int) (*Diag
 	if every <= 0 {
 		every = 1
 	}
-	opts := oasis.Options{
-		Alpha:             cfg.Alpha,
-		Strata:            cfg.Strata,
-		Epsilon:           cfg.Epsilon,
-		PriorStrength:     cfg.PriorStrength,
-		NoPriorDecay:      cfg.NoPriorDecay,
-		PosteriorEstimate: cfg.PosteriorEstimate,
-		Seed:              cfg.Seed,
-	}
-	if cfg.EqualSizeStrata {
-		opts.Stratifier = oasis.EqualSizeStratifier
-	}
-	s, err := oasis.NewSampler(b.Pool, opts)
+	s, err := oasis.NewSampler(b.Pool, cfg.options(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}

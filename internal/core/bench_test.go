@@ -1,10 +1,10 @@
 package core
 
-// Microbenchmarks for the sampler hot path: Draw (steady state, no
-// intervening commits — the batched-proposal case) and Draw+Commit (the
-// fully adaptive sequential case, which rebuilds the instrumental
-// distribution once per label). These are the numbers `make bench-json`
-// tracks in BENCH_core.json.
+// Microbenchmarks for the sampler hot path: a draw (DrawStratum plus the
+// uniform pair pick; steady state, no intervening commits — the
+// batched-proposal case) and draw+commit (the fully adaptive sequential
+// case, which rebuilds the instrumental distribution once per label). These
+// are the numbers `make bench-json` tracks in BENCH_core.json.
 
 import (
 	"testing"
@@ -28,7 +28,7 @@ func benchSampler(b *testing.B, n int) *Sampler {
 		b.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		d := o.Draw()
+		d := draw(o)
 		o.Commit(d, p.TruthProb[d.Pair] >= 0.5)
 	}
 	return o
@@ -42,7 +42,7 @@ func BenchmarkDraw(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o.Draw()
+		draw(o)
 	}
 }
 
@@ -55,7 +55,7 @@ func BenchmarkDrawCommit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := o.Draw()
+		d := draw(o)
 		o.Commit(d, preds[d.Pair] >= 0.5)
 	}
 }

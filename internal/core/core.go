@@ -59,12 +59,6 @@ type Config struct {
 	// essentially exact; the plug-in often has lower variance early. The
 	// default (false) is the estimator the paper analyses.
 	PosteriorEstimate bool
-	// TrustedPool skips New's O(N) validation scan of the pool columns. Set
-	// it only for pools whose columns are already validated by construction —
-	// e.g. resolved from the content-addressed pool store, whose load path
-	// verifies finiteness against CRC-pinned bytes. For a warm million-pair
-	// pool the scan is the dominant cost of building a sampler.
-	TrustedPool bool
 }
 
 func (c *Config) defaults(k int) {
@@ -79,9 +73,11 @@ func (c *Config) defaults(k int) {
 	}
 }
 
-// Sampler is the OASIS sampler/estimator, a sampler.Method. Create with New,
-// then alternate Draw and Commit (sampler.Run does so for a label budget);
-// Estimate returns the current F̂ at any time.
+// Sampler is the OASIS sampler/estimator: the Bayesian model, the adaptive
+// instrumental distribution and the AIS estimate of Algorithm 3. Create with
+// New; DrawStratum draws and Commit folds a label in. The served engine
+// (package oasis) picks the pairs and owns the labels; Estimate returns the
+// current F̂ at any time.
 type Sampler struct {
 	pool *pool.Pool
 	str  *strata.Strata
@@ -141,14 +137,10 @@ var ErrNoStrata = errors.New("core: empty stratification")
 
 // New builds an OASIS sampler over an already-stratified pool. The Strata
 // must partition exactly the pool's items (as produced by strata.CSF or
-// strata.EqualSize on the same pool); the sampler reads its layout in place,
-// so one Strata may back any number of samplers.
+// strata.EqualSize on the same pool, which validate its columns); the
+// sampler reads its layout in place, so one Strata may back any number of
+// samplers.
 func New(p *pool.Pool, s *strata.Strata, cfg Config, r *rng.RNG) (*Sampler, error) {
-	if !cfg.TrustedPool {
-		if err := p.Validate(); err != nil {
-			return nil, err
-		}
-	}
 	if s == nil || s.K() == 0 {
 		return nil, ErrNoStrata
 	}
@@ -215,9 +207,6 @@ func New(p *pool.Pool, s *strata.Strata, cfg Config, r *rng.RNG) (*Sampler, erro
 	}
 	return o, nil
 }
-
-// Name identifies the method in reports.
-func (o *Sampler) Name() string { return "OASIS" }
 
 // K returns the number of strata.
 func (o *Sampler) K() int { return o.str.K() }
@@ -386,59 +375,28 @@ func StratifiedOptimal(alpha, f, pi, lambda, omega float64) float64 {
 	return omega * (nonPred + pred)
 }
 
-// Instrumental writes the current ε-greedy stratum distribution v(t) into
-// dst and returns it (diagnostics; Figure 4c–d). A nil dst allocates.
-func (o *Sampler) Instrumental(dst []float64) []float64 {
-	o.refreshV()
-	if dst == nil {
-		dst = make([]float64, len(o.v))
-	}
-	copy(dst, o.v)
-	return dst
-}
-
 // InstrumentalCached refreshes the cache if needed and returns the sampler's
-// internal v(t) slice without copying. Callers must treat it as read-only
-// and must not hold it across a Commit or Restore; it exists for the
-// allocation-free proposal engine in package oasis.
+// internal ε-greedy stratum distribution v(t) without copying. Callers must
+// treat it as read-only and must not hold it across a Commit or Restore; it
+// exists for the allocation-free proposal engine in package oasis.
 func (o *Sampler) InstrumentalCached() []float64 {
 	o.refreshV()
 	return o.v
 }
 
-// Draw draws one pair from the current instrumental distribution (stratum
-// k* ~ v(t), pair uniform within P_k*) WITHOUT querying the oracle or
-// touching any estimator state. Pair it with Commit once the label arrives.
-// v(t) is recomputed only if a commit or restore happened since the last
-// draw — amortized O(1) per draw, O(log K) worst case for the stratum pick,
-// zero allocations — and the draw sequence is bit-for-bit identical to
-// rebuilding v and inverse-CDF-scanning it on every call, the unoptimized
-// sequential Algorithm 3 (see TestGoldenSequence).
-func (o *Sampler) Draw() sampler.Draw {
-	kStar, w := o.DrawStratum()
-	return sampler.Draw{
-		Pair:    o.UniformPair(kStar),
-		Stratum: kStar,
-		Weight:  w,
-	}
-}
-
 // DrawStratum draws stratum k* ~ v(t) through the cached prepared sampler
 // and returns it with the importance weight ω_k*/v_k* frozen at draw time
 // (Algorithm 3 line 6). It cannot fail: a well-formed sampler always has a
-// strictly positive v(t). Callers that pick the pair themselves (the
-// rejection-free proposal engine) use this with UniformPair or Rand.
+// strictly positive v(t). The caller picks the pair within the stratum
+// (Algorithm 3 line 5) with Rand. v(t) is recomputed only if a commit or
+// restore happened since the last draw — amortized O(1) per draw, O(log K)
+// worst case, zero allocations — and the stratum sequence is bit-for-bit
+// identical to rebuilding v and inverse-CDF-scanning it on every call, the
+// unoptimized sequential Algorithm 3 (see TestGoldenSequence).
 func (o *Sampler) DrawStratum() (int, float64) {
 	o.refreshV()
 	kStar := o.vCum.Draw(o.rng)
 	return kStar, o.vWeight[kStar]
-}
-
-// UniformPair draws one pool index uniformly from stratum k, consuming one
-// variate from the sampler's stream — the pair pick of Algorithm 3 line 5.
-func (o *Sampler) UniformPair(k int) int {
-	members := o.str.Members(k)
-	return int(members[o.rng.Intn(len(members))])
 }
 
 // Rand exposes the sampler's random stream so that the proposal engine in
@@ -446,7 +404,7 @@ func (o *Sampler) UniformPair(k int) int {
 // reproducible from one seed). Do not use it from other goroutines.
 func (o *Sampler) Rand() *rng.RNG { return o.rng }
 
-// Commit folds the label of a previous Draw into the sampler: the Beta
+// Commit folds the label of a drawn pair into the sampler: the Beta
 // posterior update of Algorithm 3 line 9 and the AIS estimate update of
 // line 11. Draws may be committed in any order and at any later time; the
 // importance weight was frozen when the draw was made.

@@ -12,12 +12,20 @@ import (
 	"oasis/internal/strata"
 )
 
-// step is one iteration of Algorithm 3 as sampler.Run makes it: draw, label
-// the pair through the run's label cache (the oracle is asked once per
-// pair), commit. The tests below count draws, not labels, and some draw more
-// often than their pool has pairs, so they loop over step themselves.
+// draw is one draw of the sequential Algorithm 3: stratum k* ~ v(t), then a
+// pair uniform within P_k* from the sampler's own stream.
+func draw(o *Sampler) sampler.Draw {
+	k, w := o.DrawStratum()
+	members := o.str.Members(k)
+	return sampler.Draw{Pair: int(members[o.rng.Intn(len(members))]), Stratum: k, Weight: w}
+}
+
+// step is one iteration of Algorithm 3: draw, label the pair through the
+// run's label cache (the oracle is asked once per pair), commit. The tests
+// below count draws, not labels, and some draw more often than their pool
+// has pairs, so they loop over step themselves.
 func step(o *Sampler, orc oracle.Oracle, cache map[int]bool) {
-	d := o.Draw()
+	d := draw(o)
 	label, ok := cache[d.Pair]
 	if !ok {
 		label = orc.Label(d.Pair)
@@ -121,7 +129,7 @@ func TestInitialEstimates(t *testing.T) {
 func TestInstrumentalIsDistribution(t *testing.T) {
 	p := makePool(2000, 100, 5)
 	o := newOASIS(t, p, 25, Config{Alpha: 0.5}, 6)
-	v := o.Instrumental(nil)
+	v := o.InstrumentalCached()
 	sum := 0.0
 	for k, q := range v {
 		if q <= 0 {
@@ -144,7 +152,7 @@ func TestEpsilonGreedyLowerBound(t *testing.T) {
 	cache := make(map[int]bool)
 	for i := 0; i < 500; i++ {
 		step(o, orc, cache)
-		v := o.Instrumental(nil)
+		v := o.InstrumentalCached()
 		for k, q := range v {
 			if q < eps*o.str.Weights[k]-1e-12 {
 				t.Fatalf("step %d: v[%d]=%v below ε·ω=%v", i, k, q, eps*o.str.Weights[k])
@@ -409,8 +417,9 @@ func TestOASISBeatsPassiveVariance(t *testing.T) {
 	var oasisSq, passiveSq float64
 	for run := 0; run < runs; run++ {
 		o := newOASIS(t, p, 30, Config{Alpha: 0.5}, 1000+uint64(run))
-		if _, _, err := sampler.Run(o, oracle.FromProbs(p.TruthProb, rng.New(2000+uint64(run))), budget, nil); err != nil {
-			t.Fatal(err)
+		orc, cache := oracle.FromProbs(p.TruthProb, rng.New(2000+uint64(run))), make(map[int]bool)
+		for len(cache) < budget {
+			step(o, orc, cache)
 		}
 		d := o.Estimate() - trueF
 		oasisSq += d * d
@@ -466,6 +475,13 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
+// method runs the core sampler under sampler.Run: a draw is one draw of the
+// sequential Algorithm 3 (see draw), a commit the sampler's own Commit.
+type method struct{ *Sampler }
+
+func (method) Name() string         { return "OASIS" }
+func (m method) Draw() sampler.Draw { return draw(m.Sampler) }
+
 // TestBudgetExhaustion checks that sampler.Run stops OASIS exactly at its
 // label budget: the oracle is asked once per distinct pair, never past the
 // budget, and every draw is committed.
@@ -474,7 +490,7 @@ func TestBudgetExhaustion(t *testing.T) {
 	o := newOASIS(t, p, 10, Config{Alpha: 0.5}, 25)
 	asked := 0
 	orc := oracle.FromProbs(p.TruthProb, rng.New(26))
-	labels, draws, err := sampler.Run(o, countOracle{orc, &asked}, 5, nil)
+	labels, draws, err := sampler.Run(method{o}, countOracle{orc, &asked}, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

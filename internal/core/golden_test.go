@@ -77,7 +77,7 @@ func TestGoldenSequence(t *testing.T) {
 	// Phase 1: the fully adaptive regime — every draw is committed, so the
 	// cache is invalidated and rebuilt once per step.
 	for step := 0; step < 300; step++ {
-		d := opt.Draw()
+		d := draw(opt)
 		rd := refDraw(t, ref, members)
 		requireSameDraw(t, step, d, rd)
 		opt.Commit(d, label(d.Pair))
@@ -89,7 +89,7 @@ func TestGoldenSequence(t *testing.T) {
 	// one; the reference rebuilds v each time. If any commit-free code path
 	// mutated the posterior, the sequences would split here.
 	for step := 0; step < 500; step++ {
-		d := opt.Draw()
+		d := draw(opt)
 		requireSameDraw(t, step, d, refDraw(t, ref, members))
 	}
 
@@ -99,13 +99,13 @@ func TestGoldenSequence(t *testing.T) {
 	st := opt.State()
 	resumed := newSampler(123456) // different seed: Restore must overwrite it
 	for i := 0; i < 7; i++ {      // desync its caches and stream first
-		resumed.Commit(resumed.Draw(), i%2 == 0)
+		resumed.Commit(draw(resumed), i%2 == 0)
 	}
 	if err := resumed.Restore(st); err != nil {
 		t.Fatal(err)
 	}
 	for step := 0; step < 300; step++ {
-		d := resumed.Draw()
+		d := draw(resumed)
 		rd := refDraw(t, ref, members)
 		requireSameDraw(t, step, d, rd)
 		resumed.Commit(d, label(d.Pair))
@@ -140,7 +140,7 @@ func TestGoldenSequencePosteriorEstimate(t *testing.T) {
 	}
 	members := refMembers(s)
 	for step := 0; step < 400; step++ {
-		d := opt.Draw()
+		d := draw(opt)
 		rd := refDraw(t, ref, members)
 		requireSameDraw(t, step, d, rd)
 		lab := p.TruthProb[d.Pair] >= 0.5
@@ -157,15 +157,14 @@ func TestGoldenSequencePosteriorEstimate(t *testing.T) {
 func TestDrawStratumWeightMatchesInstrumental(t *testing.T) {
 	p := makePool(3_000, 30, 2)
 	o := newOASIS(t, p, 15, Config{Alpha: 0.5}, 8)
-	v := make([]float64, o.K())
 	for step := 0; step < 200; step++ {
-		o.Instrumental(v) // refreshes the cache
-		k, w := o.DrawStratum()
-		if want := o.str.Weights[k] / v[k]; w != want {
-			t.Fatalf("step %d: weight %v, want ω/v = %v", step, w, want)
+		v := o.InstrumentalCached() // refreshes the cache
+		d := draw(o)
+		if want := o.str.Weights[d.Stratum] / v[d.Stratum]; d.Weight != want {
+			t.Fatalf("step %d: weight %v, want ω/v = %v", step, d.Weight, want)
 		}
 		if step%3 == 0 {
-			o.Commit(sampler.Draw{Pair: o.UniformPair(k), Stratum: k, Weight: w}, step%6 == 0)
+			o.Commit(d, step%6 == 0)
 		}
 	}
 }

@@ -1,9 +1,9 @@
 package experiment
 
 import (
-	"errors"
 	"math"
 
+	"oasis"
 	"oasis/internal/core"
 	"oasis/internal/oracle"
 	"oasis/internal/pool"
@@ -29,10 +29,11 @@ type Convergence struct {
 	KL []float64
 }
 
-// RunConvergence runs one OASIS trajectory against the pool's ground-truth
-// oracle, recording diagnostics every `every` distinct labels (minimum 1).
-// It stops after `budget` labels, or earlier at sampler.Run's draw cap.
-func RunConvergence(o *core.Sampler, p *pool.Pool, s *strata.Strata,
+// RunConvergence runs one OASIS trajectory on a fresh served engine s,
+// built on the stratification st, against the pool's ground-truth oracle.
+// It records diagnostics every `every` distinct labels (minimum 1) and
+// stops after `budget` labels.
+func RunConvergence(s *oasis.Sampler, p *pool.Pool, st *strata.Strata,
 	alpha float64, budget, every int, orc oracle.Oracle) (*Convergence, error) {
 	if every < 1 {
 		every = 1
@@ -41,16 +42,15 @@ func RunConvergence(o *core.Sampler, p *pool.Pool, s *strata.Strata,
 		budget = p.N()
 	}
 	trueF := p.TrueFMeasure(alpha)
-	truePi := core.TruePi(p, s)
-	trueV := core.TrueOptimalV(p, s, alpha)
+	truePi := core.TruePi(p, st)
+	trueV := core.TrueOptimalV(p, st, alpha)
 
 	conv := &Convergence{}
 	record := func(labels int) error {
 		conv.Labels = append(conv.Labels, labels)
-		conv.FError = append(conv.FError, math.Abs(o.Estimate()-trueF))
-		pi := o.PosteriorMean(nil)
-		conv.PiError = append(conv.PiError, stats.MeanAbs(sub(pi, truePi)))
-		v := o.Instrumental(nil)
+		conv.FError = append(conv.FError, math.Abs(s.Estimate()-trueF))
+		conv.PiError = append(conv.PiError, stats.MeanAbs(sub(s.PosteriorMean(), truePi)))
+		v := s.Instrumental()
 		conv.VError = append(conv.VError, stats.MeanAbs(sub(v, trueV)))
 		kl, err := stats.KLDivergence(trueV, v)
 		if err != nil {
@@ -61,15 +61,14 @@ func RunConvergence(o *core.Sampler, p *pool.Pool, s *strata.Strata,
 	}
 
 	nextRecord := every
-	labels, _, err := sampler.Run(o, orc, budget, func(labels int) error {
+	labels, _, err := sampler.Run(sampler.Served{Proposer: s}, orc, budget, func(labels int) error {
 		if labels < nextRecord {
 			return nil
 		}
 		nextRecord = labels + every
 		return record(labels)
 	})
-	// A stalled run ends early; its diagnostics up to the stall stand.
-	if err != nil && !errors.Is(err, sampler.ErrStalled) {
+	if err != nil {
 		return nil, err
 	}
 	// Final state.

@@ -40,7 +40,7 @@ type RunResult struct {
 	Estimates []float64
 	// LabelsConsumed is the total distinct labels used.
 	LabelsConsumed int
-	// Iterations is the number of draws taken.
+	// Iterations is the number of draws taken (see Curves.MeanIterations).
 	Iterations int
 	// Duration is the wall-clock time of the sampling loop.
 	Duration time.Duration
@@ -85,6 +85,9 @@ type Curves struct {
 	// paper plots a curve only once this exceeds 0.95.
 	DefinedFrac []float64
 	// MeanIterations and MeanDuration summarise run cost (Table 3).
+	// MeanIterations counts sampler.Run's draws. For OASIS a draw is one
+	// proposal of the served engine, which folds its free re-draws of
+	// labelled pairs in itself, so it equals the labels consumed.
 	MeanIterations float64
 	MeanDuration   time.Duration
 	Runs           int

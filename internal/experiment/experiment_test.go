@@ -4,12 +4,11 @@ import (
 	"math"
 	"testing"
 
-	"oasis/internal/core"
+	"oasis"
 	"oasis/internal/oracle"
 	"oasis/internal/pool"
 	"oasis/internal/rng"
 	"oasis/internal/sampler"
-	"oasis/internal/strata"
 )
 
 func testPool(n int, seed uint64) *pool.Pool {
@@ -48,14 +47,19 @@ func passiveFactory(p *pool.Pool, alpha float64) Factory {
 
 func oasisFactory(t *testing.T, p *pool.Pool, k int, alpha float64) Factory {
 	t.Helper()
-	s, err := strata.CSF(p, k, 0)
+	op := oasis.WrapPool(p)
+	st, err := oasis.Stratify(op, oasis.Options{Strata: k})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return Factory{
 		Name: "OASIS",
 		New: func(seed uint64) (sampler.Method, error) {
-			return core.New(p, s, core.Config{Alpha: alpha}, rng.New(seed))
+			s, err := oasis.NewSamplerStratified(op, oasis.Options{Alpha: alpha, Strata: k, Seed: seed}, st)
+			if err != nil {
+				return nil, err
+			}
+			return sampler.Served{Proposer: s}, nil
 		},
 	}
 }
@@ -294,16 +298,17 @@ func miscalibratedPool(n int, seed uint64) *pool.Pool {
 
 func TestRunConvergenceDiagnostics(t *testing.T) {
 	p := miscalibratedPool(10000, 8)
-	s, err := strata.CSF(p, 15, 0)
+	op, opts := oasis.WrapPool(p), oasis.Options{Alpha: 0.5, Strata: 15, Seed: 9}
+	st, err := oasis.Stratify(op, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := core.New(p, s, core.Config{Alpha: 0.5}, rng.New(9))
+	o, err := oasis.NewSamplerStratified(op, opts, st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	orc := oracle.FromProbs(p.TruthProb, rng.New(10))
-	conv, err := RunConvergence(o, p, s, 0.5, 6000, 50, orc)
+	conv, err := RunConvergence(o, p, st.Internal(), 0.5, 6000, 50, orc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,7 +198,7 @@ func Table3(w io.Writer, cfg Config) error {
 	if runs > 5 {
 		runs = 5 // timing runs are serial; a handful suffices
 	}
-	fmt.Fprintf(w, "Table 3: CPU times, cora pool (N=%d, budget=%d, %d runs)\n", b.Pool.N(), budget, runs)
+	fmt.Fprintf(w, "Table 3: CPU times, cora pool (N=%d, budget=%d, %d runs; an OASIS iteration is one label, free re-draws included)\n", b.Pool.N(), budget, runs)
 	fmt.Fprintf(w, "%-14s %16s %18s\n", "method", "per run", "per iteration")
 	type row struct {
 		kind erbench.MethodKind

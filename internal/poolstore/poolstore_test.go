@@ -445,7 +445,7 @@ func TestPutDoesNotAliasCallerSlices(t *testing.T) {
 	if p.Scores[0] != want0 {
 		t.Fatalf("Put aliased the caller's slice: shared score[0] = %v", p.Scores[0])
 	}
-	id2, release, err := s.Intern(scores, preds) // distinct content now
+	id2, _, release, err := s.Intern(scores, preds) // distinct content now
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -479,25 +479,26 @@ func (s *Store) putEncoded(encoded []byte, scores []float64, preds []bool, acqui
 }
 
 // Intern stores the pool columns (a dedup hit if already stored) and takes
-// one reference atomically, returning the ID and a release for that
-// reference. The session manager uses it when rewriting inline configs to
-// the PoolID form: the temporary reference keeps a concurrent Remove from
-// deleting the freshly interned pool before the session acquires it.
-func (s *Store) Intern(scores []float64, preds []bool) (id string, release func(), err error) {
+// one reference atomically, returning the ID, whether this call stored the
+// pool, and a release for that reference. The session manager uses it when
+// rewriting inline configs to the PoolID form: the temporary reference
+// keeps a concurrent Remove from deleting the freshly interned pool before
+// the session acquires it.
+func (s *Store) Intern(scores []float64, preds []bool) (id string, stored bool, release func(), err error) {
 	encoded, err := Encode(scores, preds)
 	if err != nil {
-		return "", nil, err
+		return "", false, nil, err
 	}
 	// Same defensive copy as Put: the caller's slices never become the
 	// shared columns.
 	scores = append([]float64(nil), scores...)
 	preds = append([]bool(nil), preds...)
-	info, _, err := s.putEncoded(encoded, scores, preds, true)
+	info, stored, err := s.putEncoded(encoded, scores, preds, true)
 	if err != nil {
-		return "", nil, err
+		return "", false, nil, err
 	}
 	var once sync.Once
-	return info.ID, func() { once.Do(func() { s.Release(info.ID) }) }, nil
+	return info.ID, stored, func() { once.Do(func() { s.Release(info.ID) }) }, nil
 }
 
 // Acquire resolves id to its shared pool and takes one reference, loading

@@ -8,7 +8,8 @@
 // The package also implements the three baseline methods the paper compares
 // OASIS against (§6.2): Passive uniform sampling, proportional Stratified
 // sampling (Druck & McCallum), and static Importance Sampling (Sawade et
-// al.). OASIS itself (internal/core) is a Method too.
+// al.). OASIS runs under the same loop through Served, which adapts the
+// served engine (oasis.Sampler) to a Method.
 package sampler
 
 import (
@@ -43,6 +44,33 @@ type Method interface {
 	Commit(d Draw, label bool)
 	Estimate() float64
 }
+
+// Proposer is the served OASIS engine (oasis.Sampler). ProposeBatch folds
+// its with-replacement re-draws of labelled pairs in itself and returns
+// only pairs that are neither labelled nor outstanding.
+type Proposer interface {
+	ProposeBatch(n int) ([]int, error)
+	CommitLabel(pair int, label bool) error
+	Estimate() float64
+}
+
+// Served adapts a Proposer to a Method: a draw is one ProposeBatch(1) and a
+// commit its CommitLabel. Run's label cache never hits, so Run's draw count
+// is a proposal count. Cap the budget at the proposable supply: Draw on an
+// exhausted engine panics.
+type Served struct{ Proposer }
+
+// Name identifies the method in reports.
+func (Served) Name() string { return "OASIS" }
+
+// Draw proposes one pair.
+func (m Served) Draw() Draw {
+	pairs, _ := m.ProposeBatch(1)
+	return Draw{Pair: pairs[0]}
+}
+
+// Commit labels the proposed pair, which cannot fail.
+func (m Served) Commit(d Draw, label bool) { _ = m.CommitLabel(d.Pair, label) }
 
 // ErrStalled is returned by Run when the draw cap ends a run before its
 // label budget is spent.

@@ -71,10 +71,6 @@ type ManagerOptions struct {
 	DefaultLeaseTTL time.Duration
 	// Now injects a clock, for tests; nil means time.Now.
 	Now func() time.Time
-	// Journal, when set, durably records every state-changing event before
-	// it is acknowledged. When recovery must run first (the WAL replays into
-	// a journal-less manager), leave it nil and attach with SetJournal.
-	Journal Journal
 	// Shards splits the session map into that many independent lock domains
 	// (rounded up to a power of two, capped at MaxShards; 0 means 1).
 	// Operations on sessions in different shards never contend on a manager
@@ -171,7 +167,7 @@ func NewManager(opts ManagerOptions) *Manager {
 	return &Manager{
 		shards: shards,
 		opts:   opts,
-		jrn:    &journalHolder{j: opts.Journal},
+		jrn:    &journalHolder{},
 	}
 }
 
@@ -217,7 +213,7 @@ func (m *Manager) Create(cfg Config) (*Session, error) {
 // CreateCtx is Create with request context: when ctx carries a trace
 // (internal/trace), the create records the pool resolution, its shard-lock
 // waits vs. holds, the create-barrier wait and the journal append as spans.
-func (m *Manager) CreateCtx(ctx context.Context, cfg Config) (*Session, error) {
+func (m *Manager) CreateCtx(ctx context.Context, cfg Config) (_ *Session, err error) {
 	tr := trace.FromContext(ctx)
 	var start time.Time
 	if m.opts.Metrics != nil {
@@ -226,18 +222,34 @@ func (m *Manager) CreateCtx(ctx context.Context, cfg Config) (*Session, error) {
 	if cfg.ID == "" {
 		cfg.ID = newID()
 	}
+	// Refuse an unserved method before interning a pool for it.
+	if err := checkMethod(cfg.Method); err != nil {
+		return nil, err
+	}
 	// Intern inline pools only into a durable store: a snapshot (or journal)
 	// referencing a memory-only pool could never be restored after a
 	// restart, whereas an inline config is self-contained. Intern holds a
 	// temporary reference until the session has acquired its own, so a
 	// concurrent pool delete cannot hit the freshly interned pool in
-	// between.
+	// between. interned names a pool this create stored itself: a create
+	// refused before its journal append removes it again, but from the
+	// append on a durable create record may name it, so it stays.
+	var interned string
 	if m.opts.Pools != nil && m.opts.Pools.Durable() && cfg.PoolID == "" && len(cfg.Scores) > 0 {
-		id, release, err := m.opts.Pools.Intern(cfg.Scores, cfg.Preds)
-		if err != nil {
-			return nil, fmt.Errorf("session: intern pool: %w", err)
+		id, stored, release, ierr := m.opts.Pools.Intern(cfg.Scores, cfg.Preds)
+		if ierr != nil {
+			return nil, fmt.Errorf("session: intern pool: %w", ierr)
 		}
-		defer release()
+		if stored {
+			interned = id
+		}
+		defer func() {
+			release()
+			if err != nil && interned != "" {
+				// Remove refuses (ErrInUse) a pool another create took meanwhile.
+				_ = m.opts.Pools.Remove(interned)
+			}
+		}()
 		cfg.PoolID = id
 		cfg.Scores, cfg.Preds = nil, nil
 	}
@@ -278,6 +290,7 @@ func (m *Manager) CreateCtx(ctx context.Context, cfg Config) (*Session, error) {
 	defer sh.createMu.RUnlock()
 	var lsn uint64
 	var jerr error
+	interned = ""
 	if j := m.jrn.get(); j != nil {
 		lsn, jerr = j.Append(&Event{Type: EventCreate, Session: cfg.ID, Config: &cfg, Trace: tr})
 	}

@@ -8,6 +8,7 @@ package session
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -375,6 +376,66 @@ func TestCreateErrorPathsReleasePool(t *testing.T) {
 		t.Fatalf("refs after bad-method create = %d, want 1", got)
 	}
 }
+
+// TestRefusedCreateLeavesNoPool: a refused create leaves the durable store
+// as it found it — no pool, no reference, no .pool file — whether it is
+// refused before its inline pool would be interned (a removed method) or
+// after (a duplicate ID). A refused create that deduplicated onto a pool
+// another session holds leaves that pool in place, and so does one whose
+// journal append failed.
+func TestRefusedCreateLeavesNoPool(t *testing.T) {
+	dir := t.TempDir()
+	store, err := poolstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := NewManager(ManagerOptions{Pools: store})
+	check := func(what string, pools, refs int) {
+		t.Helper()
+		files, err := filepath.Glob(filepath.Join(dir, "*.pool"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := store.Stats(); st.Pools != pools || st.Refs != refs || len(files) != pools {
+			t.Fatalf("%s: %d pools, %d refs, %d .pool files; want %d, %d, %d",
+				what, st.Pools, st.Refs, len(files), pools, refs, pools)
+		}
+	}
+	scores, preds, _ := testPool(300, 47)
+	opts := oasis.Options{Strata: 4, Seed: 1}
+	if _, err := mgr.Create(Config{ID: "p", Method: "passive", Scores: scores, Preds: preds, Calibrated: true}); !errors.Is(err, errPassiveRemoved) {
+		t.Fatalf("passive create: err = %v, want the removal notice", err)
+	}
+	check("after a refused passive create", 0, 0)
+
+	if _, err := mgr.Create(Config{ID: "a", Scores: scores, Preds: preds, Calibrated: true, Options: opts}); err != nil {
+		t.Fatal(err)
+	}
+	check("after one create", 1, 1)
+	other, otherPreds, _ := testPool(300, 48)
+	if _, err := mgr.Create(Config{ID: "a", Scores: other, Preds: otherPreds, Calibrated: true, Options: opts}); err == nil {
+		t.Fatal("duplicate create over a new pool succeeded")
+	}
+	check("after a duplicate-ID create over a new pool", 1, 1)
+	if _, err := mgr.Create(Config{ID: "a", Scores: scores, Preds: preds, Calibrated: true, Options: opts}); err == nil {
+		t.Fatal("duplicate create over the held pool succeeded")
+	}
+	check("after a duplicate-ID create over the held pool", 1, 1)
+
+	// A failed journal append may still have left the create record on
+	// disk, naming the pool, so that pool stays.
+	mgr.SetJournal(failingJournal{})
+	if _, err := mgr.Create(Config{ID: "j", Scores: other, Preds: otherPreds, Calibrated: true, Options: opts}); err == nil {
+		t.Fatal("create with a failing journal succeeded")
+	}
+	check("after a create whose journal append failed", 2, 1)
+}
+
+// failingJournal refuses every append.
+type failingJournal struct{}
+
+func (failingJournal) Append(*Event) (uint64, error) { return 0, errors.New("journal down") }
+func (failingJournal) Err() error                    { return nil }
 
 // TestMemoryOnlyStoreDoesNotIntern: with a memory-only store, inline
 // configs must stay inline — a snapshot referencing a pool that dies with

@@ -173,14 +173,10 @@ type Session struct {
 // one reference on the shared pool, returned by releasePool) or from the
 // inline columns.
 func newSession(ctx context.Context, cfg Config, defaultTTL time.Duration, now func() time.Time, pools *poolstore.Store, dg DiagOptions) (_ *Session, err error) {
-	switch cfg.Method {
-	case "", MethodOASIS:
-		cfg.Method = MethodOASIS
-	case "passive":
-		return nil, errPassiveRemoved
-	default:
-		return nil, fmt.Errorf("session: unknown method %q", cfg.Method)
+	if err := checkMethod(cfg.Method); err != nil {
+		return nil, err
 	}
+	cfg.Method = MethodOASIS
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = defaultTTL
 	}
@@ -220,6 +216,17 @@ func newSession(ctx context.Context, cfg Config, defaultTTL time.Duration, now f
 		diag:        diag.NewTracker(dg.SeriesCapacity, dg.Thresholds),
 		diagLog:     dg.Logf,
 	}, nil
+}
+
+// checkMethod refuses a method this build does not serve.
+func checkMethod(m MethodKind) error {
+	switch m {
+	case "", MethodOASIS:
+		return nil
+	case "passive":
+		return errPassiveRemoved
+	}
+	return fmt.Errorf("session: unknown method %q", m)
 }
 
 // newOASISSampler builds the session's OASIS sampler. For a store-resolved

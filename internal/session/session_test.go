@@ -485,7 +485,8 @@ func (b *blockingJournal) Err() error { return nil }
 func TestCreateBarrierWaitsForInflightCreate(t *testing.T) {
 	scores, preds, _ := testPool(50, 1)
 	jrn := &blockingJournal{entered: make(chan struct{}), release: make(chan struct{})}
-	m := NewManager(ManagerOptions{Journal: jrn})
+	m := NewManager(ManagerOptions{})
+	m.SetJournal(jrn)
 
 	created := make(chan error, 1)
 	go func() {

@@ -154,44 +154,42 @@ type Result struct {
 
 // Sampler is the OASIS adaptive importance sampler over a pool.
 //
-// A Sampler can be driven two ways: synchronously, with Run pulling labels
-// from an OracleFunc (the paper's sequential Algorithm 3), or
-// asynchronously, with ProposeBatch/CommitLabel pushing labels in as an
-// external labelling resource (a crowd, a service queue) produces them (the
-// bounded engine the service runs). Both keep one label cache, so State,
-// LabelsCommitted and later proposals see every label either bought; Run
-// labels a fresh sampler only, and ProposeBatch may continue after it. A
-// Sampler is not safe for concurrent use; the session subsystem
-// (internal/session, served by cmd/oasis-server) adds locking, leases and
-// persistence on top.
+// ProposeBatch draws pairs for an external labelling resource (a crowd, a
+// service queue) and CommitLabel folds each answer back in as it arrives.
+// Run is the same engine with an in-process oracle: one proposal at a time,
+// labelled at once. A Sampler is not safe for concurrent use; the session
+// subsystem (internal/session, served by cmd/oasis-server) adds locking,
+// leases and persistence on top.
 type Sampler struct {
 	inner *core.Sampler
 	str   *strata.Strata
 
 	// Propose/commit bookkeeping: outstanding proposals live in a dense slab
-	// (pendingSlab) indexed per pair by pendingIdx, holding every draw
+	// (pendingSlab) indexed per pair by its slot state, holding every draw
 	// awaiting that pair's label (with-replacement re-draws of an
 	// outstanding pair queue additional weighted terms). The slab keeps the
 	// propose/commit hot path free of map operations: insert is an append,
-	// removal a swap-remove, both O(1). labels caches committed labels,
-	// mirroring sampler.Run's first-query cache.
+	// removal a swap-remove, both O(1).
 	pendingSlab []pendingEntry
 	// slots interleaves each pair with its proposal state in the strata's
 	// Perm order (stratum k occupies [slotOff[k], slotOff[k+1]), matching the
 	// core sampler's within-stratum item order). A uniform pair draw indexes
-	// slots once: pair identity and state share an 8-byte load, so the hot
-	// path takes a single random memory access instead of two dependent
-	// ones. slotOff and posOfPair alias the strata's Off and Pos (read-only);
-	// posOfPair maps a pool index back to its slot for the (colder)
-	// commit/release paths. Only slots is per sampler.
+	// slots once: pair identity and state — committed label included —
+	// share an 8-byte load, so the hot path takes a single random memory
+	// access instead of two dependent ones. slotOff and posOfPair alias the
+	// strata's Off and Pos (read-only); posOfPair maps a pool index back to
+	// its slot for the (colder) commit/release paths. Only slots is per
+	// sampler.
 	slots     []pairSlot
 	slotOff   []int32
 	posOfPair []int32
+	// committed lists the labelled pairs in commit order (their labels live
+	// in slots), so the label counters and snapshots cost O(labels).
+	committed []int32
 	// extraDraws holds the re-draws of outstanding pairs (rare): keeping
 	// them out of the slab makes slab entries pointer-free scalars, so the
 	// propose hot path never takes a GC write barrier.
 	extraDraws map[int][]sampler.Draw
-	labels     map[int]bool
 
 	// Proposability accounting for the rejection-free draw path. Everything
 	// here is a pure function of (labels, pending), so a sampler restored
@@ -234,16 +232,18 @@ func (e pendingEntry) draw() sampler.Draw {
 
 // pairSlot is one pool pair in stratum order with its proposal state: ≥ 0
 // is the slab index of the pair's outstanding proposal, pairAvailable means
-// proposable, pairLabelled means committed.
+// proposable, pairNonMatch and pairMatch mean committed with that label.
 type pairSlot struct {
 	pair  int32
 	state int32
 }
 
 // Sentinel values of pairSlot.state for pairs with no outstanding proposal.
+// Every state below pairAvailable is a committed label.
 const (
 	pairAvailable int32 = -1
-	pairLabelled  int32 = -2
+	pairNonMatch  int32 = -2
+	pairMatch     int32 = -3
 )
 
 // Stratification is a precomputed, immutable stratification of a pool,
@@ -265,6 +265,10 @@ func (st *Stratification) K() int { return st.s.K() }
 // accounting: 8 per pool pair (the permutation and its inverse) plus O(K)
 // offsets and per-stratum statistics.
 func (st *Stratification) MemBytes() int64 { return st.s.MemBytes() }
+
+// Internal exposes the stratum layout to sibling packages (erbench); it is
+// not part of the supported public surface.
+func (st *Stratification) Internal() *strata.Strata { return st.s }
 
 // Stratify computes the stratification NewSampler builds internally for
 // (p, opts): CSF or equal-size per opts.Stratifier with the same option
@@ -312,9 +316,6 @@ func NewSamplerStratified(p *Pool, opts Options, st *Stratification) (*Sampler, 
 		PriorStrength:     opts.PriorStrength,
 		DisablePriorDecay: opts.NoPriorDecay,
 		PosteriorEstimate: opts.PosteriorEstimate,
-		// The pool was validated when st was stratified (or, for store-resolved
-		// pools, when the columns were loaded and CRC/SHA-verified).
-		TrustedPool: true,
 	}, rng.New(opts.Seed))
 	if err != nil {
 		return nil, err
@@ -326,31 +327,43 @@ func NewSamplerStratified(p *Pool, opts Options, st *Stratification) (*Sampler, 
 		slotOff:    st.s.Off,
 		posOfPair:  st.s.Pos,
 		availCount: make([]int32, st.s.K()),
-		labels:     make(map[int]bool),
 	}
-	out.resetAvailability()
+	out.resetAvailability(nil)
 	return out, nil
 }
 
-// resetAvailability rebuilds the proposability accounting from the labels
-// cache, with no outstanding proposals: every unlabelled pair is available.
-func (s *Sampler) resetAvailability() {
+// resetAvailability rebuilds the label store and the proposability
+// accounting from labels, with no outstanding proposals: every unlabelled
+// pair is available.
+func (s *Sampler) resetAvailability(labels map[int]bool) {
 	slots := s.slots[:len(s.str.Perm)]
 	for i, pair := range s.str.Perm {
 		slots[i] = pairSlot{pair: pair, state: pairAvailable}
 	}
 	s.pendingSlab = s.pendingSlab[:0]
 	s.extraDraws = nil
+	s.committed = s.committed[:0]
 	for k := range s.availCount {
 		s.availCount[k] = int32(s.str.Size(k))
 	}
 	s.availTotal = s.str.N()
-	for pair := range s.labels {
-		s.slots[s.posOfPair[pair]].state = pairLabelled
+	for pair, label := range labels {
+		s.markLabelled(pair, label)
 		s.availCount[s.str.StratumOf(pair)]--
 		s.availTotal--
 	}
 	s.maskDirty = true
+}
+
+// markLabelled records pair's committed label in its slot and in the commit
+// order. The caller adjusts availability if the pair was proposable.
+func (s *Sampler) markLabelled(pair int, label bool) {
+	state := pairNonMatch
+	if label {
+		state = pairMatch
+	}
+	s.slots[s.posOfPair[pair]].state = state
+	s.committed = append(s.committed, int32(pair))
 }
 
 // pairState returns the proposal state of pair, or pairAvailable for an
@@ -428,34 +441,38 @@ func (s *Sampler) Health() Health {
 // method it must be serialised with draws and commits by the caller.
 func (s *Sampler) StratumDiagnostics() []diag.StratumHealth {
 	draws, sumW, sumW2 := s.inner.StratumStats(nil, nil, nil)
-	instr := append([]float64(nil), s.inner.InstrumentalCached()...)
-	return diag.StrataHealth(draws, sumW, sumW2, instr)
+	return diag.StrataHealth(draws, sumW, sumW2, s.Instrumental())
 }
 
-// Run is the paper's sequential Algorithm 3: it draws one pair at a time,
-// asks the oracle the first time a pair comes up (later draws of it reuse
-// that label for free), folds every draw into the estimate, and stops once
-// `budget` distinct pairs are labelled. It returns the final estimate. A run
-// whose draws keep landing on labelled pairs (e.g. a budget above the pool
-// size) stops after 200·budget + 1000 draws instead, with LabelsConsumed
-// below budget. Every label Run buys lands in the sampler's label cache, as
-// a CommitLabel would. Run needs a sampler that holds no labels and no
-// outstanding proposals yet; on any other it returns an error.
+// Run labels `budget` more pairs through the oracle, one proposal at a
+// time: each step is ProposeBatch(1) followed by CommitLabel with the
+// oracle's answer. This is the paper's sequential Algorithm 3 — draws that
+// land on labelled pairs are folded in for free (footnote 5), and only a
+// fresh pair reaches the oracle — and sampler.Run drives it, as it drives
+// the baselines. Run continues any sampler: its labels join those already
+// committed, and outstanding proposals stay outstanding. It returns the
+// final estimate; LabelsConsumed falls below budget only when the pool runs
+// out of proposable pairs.
 func (s *Sampler) Run(o OracleFunc, budget int) (*Result, error) {
-	if len(s.labels) > 0 || len(s.pendingSlab) > 0 {
-		return nil, errors.New("oasis: Run needs a sampler with no labels and no outstanding proposals")
+	if budget <= 0 {
+		return nil, errBudget
 	}
-	defer s.resetAvailability()
-	return run(s.inner, func(i int) bool {
-		label := o(i)
-		s.labels[i] = label
-		return label
-	}, budget)
+	commits := s.inner.Iterations()
+	// Capped at the proposable supply, the run can neither stall nor exhaust
+	// the pool, and with no hook sampler.Run has no other error to return.
+	labels, _, _ := sampler.Run(sampler.Served{Proposer: s}, o, min(budget, s.availTotal), nil)
+	return &Result{
+		FMeasure:       s.Estimate(),
+		LabelsConsumed: labels,
+		Iterations:     s.inner.Iterations() - commits,
+	}, nil
 }
+
+var errBudget = errors.New("oasis: budget must be positive")
 
 // ErrNotProposed is returned by CommitLabel for a pair that has no
-// outstanding proposal and no cached label — e.g. a proposal whose lease was
-// released before the label arrived.
+// outstanding proposal and no committed label — e.g. a proposal whose lease
+// was released before the label arrived.
 var ErrNotProposed = errors.New("oasis: pair was not proposed (or its proposal was released)")
 
 // ErrExhausted is returned by ProposeBatch when the proposable supply runs
@@ -474,16 +491,13 @@ var ErrExhausted = errors.New("oasis: no proposable pairs (pool labelled or full
 // more often at larger batches, which adapt v(t) less often: on uncalibrated
 // Abt-Buy (erbench scale 1.0, pool seed 1, K = 30, sampler seed 200, 20,000
 // labels) 23 proposals came from direct mode at batch 1 and 734 at batch 16.
-// Sequential Run has no such escape and keeps drawing with replacement up to
-// its draw cap, so Run and ProposeBatch differ exactly after 32 consecutive
-// free draws.
 const proposeStormLimit = 32
 
 // ProposeBatch draws n distinct unlabelled pairs from the current
 // instrumental distribution and returns their pool indices, marking each as
-// an outstanding proposal. It is the asynchronous, batched counterpart of
-// Run: the caller routes the proposed pairs to its labelling resource and
-// feeds answers back through CommitLabel in any order.
+// an outstanding proposal. The caller routes the proposed pairs to its
+// labelling resource and feeds answers back through CommitLabel in any
+// order.
 //
 // Sampling is with replacement, exactly as in Algorithm 3: a re-draw of an
 // already-committed pair is folded into the estimate immediately with its
@@ -552,11 +566,10 @@ func (s *Sampler) ProposeBatch(n int) ([]int, error) {
 			s.propose(pos, k, weight)
 			batch = append(batch, pair)
 			misses = 0
-		case st == pairLabelled:
-			// Free draw: fold the cached label in immediately, exactly as
-			// the sequential algorithm re-labels for free (Run's label
-			// cache).
-			s.inner.Commit(sampler.Draw{Pair: pair, Stratum: k, Weight: weight}, s.labels[pair])
+		case st < pairAvailable:
+			// Free draw: fold the committed label in immediately, exactly as
+			// the sequential algorithm re-labels for free.
+			s.inner.Commit(sampler.Draw{Pair: pair, Stratum: k, Weight: weight}, st == pairMatch)
 			misses++
 		default:
 			if s.extraDraws == nil {
@@ -666,8 +679,8 @@ func (s *Sampler) pickAvailable(k int) int {
 // CommitLabel applies the label of a previously proposed pair, updating the
 // Beta posterior and the running estimate once per draw that was awaiting
 // it. Committing an already-committed pair is a no-op (the first label
-// wins, mirroring Run's label cache); committing a pair that was
-// never proposed — or whose proposal was released — returns ErrNotProposed.
+// wins); committing a pair that was never proposed — or whose proposal was
+// released — returns ErrNotProposed.
 func (s *Sampler) CommitLabel(pair int, label bool) error {
 	_, err := s.commitLabel(pair, label, false)
 	return err
@@ -695,15 +708,14 @@ func (s *Sampler) CommitLabelTerms(pair int, label bool) ([]DrawTerm, error) {
 // the caller journals them, keeping the journal-less hot path allocation
 // free.
 func (s *Sampler) commitLabel(pair int, label bool, wantTerms bool) ([]DrawTerm, error) {
-	if _, done := s.labels[pair]; done {
+	switch st := s.pairState(pair); {
+	case st < pairAvailable:
 		return nil, nil
-	}
-	if s.pairState(pair) < 0 {
+	case st == pairAvailable:
 		return nil, ErrNotProposed
 	}
 	entry, extra := s.removePending(pair)
-	s.labels[pair] = label
-	s.slots[s.posOfPair[pair]].state = pairLabelled // was pending: availability unchanged
+	s.markLabelled(pair, label) // was pending: availability unchanged
 	s.inner.Commit(entry.draw(), label)
 	for _, d := range extra {
 		s.inner.Commit(d, label)
@@ -730,7 +742,7 @@ func (s *Sampler) ReplayCommit(pair int, label bool, terms []DrawTerm) error {
 	if pair < 0 || pair >= s.str.N() {
 		return fmt.Errorf("oasis: replay commit for pair %d outside pool of %d", pair, s.str.N())
 	}
-	if _, done := s.labels[pair]; done {
+	if s.pairState(pair) < pairAvailable {
 		return nil
 	}
 	if len(terms) == 0 {
@@ -761,8 +773,7 @@ func (s *Sampler) ReplayCommit(pair int, label bool, terms []DrawTerm) error {
 	for _, dt := range terms {
 		s.inner.Commit(sampler.Draw{Pair: pair, Stratum: dt.Stratum, Weight: dt.Weight}, label)
 	}
-	s.labels[pair] = label
-	s.slots[s.posOfPair[pair]].state = pairLabelled
+	s.markLabelled(pair, label)
 	s.availCount[s.str.StratumOf(pair)]--
 	s.availTotal--
 	s.maskDirty = true
@@ -796,18 +807,28 @@ func (s *Sampler) Pending() []int {
 	return out
 }
 
-// LabelsCommitted returns the number of distinct pairs committed through
-// CommitLabel — the propose/commit analogue of Result.LabelsConsumed.
-func (s *Sampler) LabelsCommitted() int { return len(s.labels) }
+// LabelsCommitted returns the number of distinct pairs labelled, through
+// CommitLabel or Run.
+func (s *Sampler) LabelsCommitted() int { return len(s.committed) }
 
-// CommittedLabels returns a copy of the committed pair→label cache, e.g.
-// for snapshotting.
+// CommittedLabels returns the committed labels as a fresh pair→label map,
+// e.g. for snapshotting.
 func (s *Sampler) CommittedLabels() map[int]bool {
-	out := make(map[int]bool, len(s.labels))
-	for i, l := range s.labels {
-		out[i] = l
+	out := make(map[int]bool, len(s.committed))
+	for _, pair := range s.committed {
+		out[int(pair)] = s.slots[s.posOfPair[pair]].state == pairMatch
 	}
 	return out
+}
+
+// PosteriorMean returns the current per-stratum match-probability estimates
+// π̂(t) (Eqn. 11) as a fresh slice.
+func (s *Sampler) PosteriorMean() []float64 { return s.inner.PosteriorMean(nil) }
+
+// Instrumental returns the current stratum distribution v(t) that the next
+// draw follows (Eqn. 12) as a fresh slice.
+func (s *Sampler) Instrumental() []float64 {
+	return append([]float64(nil), s.inner.InstrumentalCached()...)
 }
 
 // PendingDraw is one outstanding proposal in a SamplerState: the pair, the
@@ -884,15 +905,11 @@ func (s *Sampler) RestoreState(st *SamplerState) error {
 	if err := s.inner.Restore(st.Core); err != nil {
 		return err
 	}
-	s.labels = make(map[int]bool, len(st.Labels))
-	for i, l := range st.Labels {
-		s.labels[i] = l
-	}
-	// Rebuild the proposability accounting and invalidate the masked
-	// sampler; the core restore already invalidated the cached v(t). All of
-	// it is derived from (labels, pending), so the restored sampler proposes
-	// exactly what the snapshotted one would have.
-	s.resetAvailability()
+	// Rebuild the label store and the proposability accounting and
+	// invalidate the masked sampler; the core restore already invalidated
+	// the cached v(t). All of it is derived from (labels, pending), so the
+	// restored sampler proposes exactly what the snapshotted one would have.
+	s.resetAvailability(st.Labels)
 	for _, p := range st.Pending {
 		s.propose(int(s.posOfPair[p.Pair]), p.Stratum, p.Weight)
 		for _, e := range p.Extra {
@@ -906,7 +923,7 @@ func (s *Sampler) RestoreState(st *SamplerState) error {
 }
 
 // Method is one of the paper's baseline evaluation methods (Passive,
-// Stratified or IS), driven exactly like Sampler.Run.
+// Stratified or IS), driven by the same loop as Sampler.Run.
 type Method struct {
 	inner sampler.Method
 }
@@ -917,19 +934,15 @@ func (m *Method) Name() string { return m.inner.Name() }
 // Estimate returns the method's current F̂.
 func (m *Method) Estimate() float64 { return m.inner.Estimate() }
 
-// Run drives the method until the label budget is consumed, as
-// Sampler.Run does.
+// Run draws with replacement until `budget` distinct pairs are labelled,
+// asking the oracle once per pair. With no hook, the only error sampler.Run
+// can return is a stall at its draw cap, which leaves LabelsConsumed below
+// budget.
 func (m *Method) Run(o OracleFunc, budget int) (*Result, error) {
-	return run(m.inner, o, budget)
-}
-
-// run drives m through sampler.Run. With no hook, the only error Run can
-// return is a stall at its draw cap; Result.LabelsConsumed reports it.
-func run(m sampler.Method, o OracleFunc, budget int) (*Result, error) {
 	if budget <= 0 {
-		return nil, errors.New("oasis: budget must be positive")
+		return nil, errBudget
 	}
-	labels, draws, _ := sampler.Run(m, o, budget, nil)
+	labels, draws, _ := sampler.Run(m.inner, o, budget, nil)
 	return &Result{
 		FMeasure:       m.Estimate(),
 		LabelsConsumed: labels,

@@ -1,6 +1,7 @@
 package oasis_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -310,8 +311,9 @@ func TestRunRejectsBadBudget(t *testing.T) {
 }
 
 // TestRunKeepsLabels: the labels Run buys are the sampler's committed labels,
-// so the counters and the snapshot see them, later proposals never buy one
-// again, and a second Run on the same sampler is refused.
+// so the counters and the snapshot see them and later proposals never buy
+// one again. A second Run continues the first, and a Run leaves outstanding
+// proposals outstanding and committable.
 func TestRunKeepsLabels(t *testing.T) {
 	scores, preds, truth, _ := syntheticScores(3000, 19)
 	p, err := oasis.NewPool(scores, preds, oasis.CalibratedScores)
@@ -323,12 +325,22 @@ func TestRunKeepsLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 	bought := make(map[int]bool)
-	res, err := s.Run(func(i int) bool { bought[i] = true; return truth[i] }, 50)
+	oracle := func(i int) bool {
+		if bought[i] {
+			t.Fatalf("the oracle was asked again for pair %d", i)
+		}
+		bought[i] = true
+		return truth[i]
+	}
+	res, err := s.Run(oracle, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.LabelsConsumed != 50 || len(bought) != 50 {
 		t.Fatalf("Run consumed %d labels over %d oracle pairs, want 50", res.LabelsConsumed, len(bought))
+	}
+	if res.Iterations < 50 || len(s.Pending()) != 0 {
+		t.Fatalf("Run made %d draws and left %d proposals outstanding; want ≥ 50 and none", res.Iterations, len(s.Pending()))
 	}
 	if got := s.LabelsCommitted(); got != 50 {
 		t.Fatalf("LabelsCommitted() = %d after Run, want 50", got)
@@ -342,8 +354,11 @@ func TestRunKeepsLabels(t *testing.T) {
 			t.Fatalf("State() label of bought pair %d = %v, %v", pair, l, ok)
 		}
 	}
-	if _, err := s.Run(func(i int) bool { return truth[i] }, 10); err == nil {
-		t.Fatal("a second Run on a labelled sampler was accepted")
+	if res, err := s.Run(oracle, 10); err != nil || res.LabelsConsumed != 10 {
+		t.Fatalf("second Run: %+v, %v; want 10 labels", res, err)
+	}
+	if got := s.LabelsCommitted(); got != 60 || len(bought) != 60 {
+		t.Fatalf("after a second Run: %d committed over %d oracle pairs, want 60", got, len(bought))
 	}
 
 	for round := 0; round < 100; round++ {
@@ -365,11 +380,87 @@ func TestRunKeepsLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fresh.ProposeBatch(1); err != nil {
+	out, err := fresh.ProposeBatch(1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fresh.Run(func(i int) bool { return truth[i] }, 10); err == nil {
-		t.Fatal("Run on a sampler with an outstanding proposal was accepted")
+	res, err = fresh.Run(func(i int) bool {
+		if i == out[0] {
+			t.Fatalf("Run asked for outstanding pair %d", i)
+		}
+		return truth[i]
+	}, 10)
+	if err != nil || res.LabelsConsumed != 10 {
+		t.Fatalf("Run with an outstanding proposal: %+v, %v; want 10 labels", res, err)
+	}
+	if pending := fresh.Pending(); len(pending) != 1 || pending[0] != out[0] {
+		t.Fatalf("pending after Run = %v, want [%d]", pending, out[0])
+	}
+	if err := fresh.CommitLabel(out[0], truth[out[0]]); err != nil {
+		t.Fatalf("commit of the proposal made before Run: %v", err)
+	}
+	if got := fresh.LabelsCommitted(); got != 11 {
+		t.Fatalf("LabelsCommitted() = %d, want 11", got)
+	}
+}
+
+// TestRunNeverStalls: Run reaches its budget when v(t) sits on labelled
+// pairs, and a budget above the proposable supply labels every proposable
+// pair and returns. α = 1 puts all but ε of v(t) on the few predicted
+// matches, so once those are labelled nearly every with-replacement draw
+// is a free one.
+func TestRunNeverStalls(t *testing.T) {
+	scores, preds, truth, _ := syntheticScores(3000, 23)
+	p, err := oasis.NewPool(scores, preds, oasis.CalibratedScores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := p.NumPredPositives(); n > 100 {
+		t.Fatalf("%d predicted matches; the case needs few", n)
+	}
+	oracle := func(i int) bool { return truth[i] }
+	s, err := oasis.NewSampler(p, oasis.Options{Alpha: 1, Strata: 10, Seed: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(oracle, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.LabelsConsumed != 400 || res.Iterations <= res.LabelsConsumed {
+		t.Fatalf("α = 1 run: %d labels in %d draws, want 400 labels and free draws", res.LabelsConsumed, res.Iterations)
+	}
+
+	small, err := oasis.NewPool(scores[:300], preds[:300], oasis.CalibratedScores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err = oasis.NewSampler(small, oasis.Options{Alpha: 1, Strata: 10, Seed: 25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := s.ProposeBatch(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = s.Run(oracle, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.LabelsConsumed != 297 || s.LabelsCommitted() != 297 || len(s.Pending()) != 3 {
+		t.Fatalf("budget above supply: %d labels, %d committed, %d pending; want 297, 297, 3",
+			res.LabelsConsumed, s.LabelsCommitted(), len(s.Pending()))
+	}
+	if _, err := s.ProposeBatch(1); !errors.Is(err, oasis.ErrExhausted) {
+		t.Fatalf("propose after Run labelled the supply: err = %v, want ErrExhausted", err)
+	}
+	for _, pair := range out {
+		if err := s.CommitLabel(pair, truth[pair]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.LabelsCommitted(); got != 300 {
+		t.Fatalf("LabelsCommitted() = %d, want the whole pool", got)
 	}
 }
 

@@ -5,6 +5,7 @@ package oasis_test
 // propose→commit cycle. Tracked in BENCH_core.json via `make bench-json`.
 
 import (
+	"fmt"
 	"testing"
 
 	"oasis"
@@ -65,16 +66,7 @@ func BenchmarkProposeBatch(b *testing.B) {
 	}
 }
 
-func benchName(n int) string {
-	switch n {
-	case 1:
-		return "n=1"
-	case 64:
-		return "n=64"
-	default:
-		return "n=1024"
-	}
-}
+func benchName(n int) string { return fmt.Sprintf("n=%d", n) }
 
 // BenchmarkProposeCommit measures the full cycle: propose a batch of 64,
 // commit every label (which re-adapts the instrumental distribution). The
@@ -99,5 +91,41 @@ func BenchmarkProposeCommit(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// BenchmarkProposeNearExhaustion measures the propose→commit cycle at
+// batch n with 80% of a 20k-pair pool labelled, where most with-replacement
+// draws land on labelled pairs: each is a free draw that commits a term, and
+// a run of proposeStormLimit of them sends the proposal to direct mode.
+// Once another 4% of the pool is labelled, the sampler is restored to its
+// 80% state off the clock, so every op runs in the same regime.
+func BenchmarkProposeNearExhaustion(b *testing.B) {
+	const pool = 20_000
+	for _, n := range []int{1, 16} {
+		b.Run(benchName(n), func(b *testing.B) {
+			s, truth := benchSampler(b, pool, pool*8/10)
+			warm := s.State()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if s.LabelsCommitted() >= pool*84/100 {
+					b.StopTimer()
+					if err := s.RestoreState(warm); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				pairs, err := s.ProposeBatch(n)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, pair := range pairs {
+					if err := s.CommitLabel(pair, truth[pair]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
