@@ -5,8 +5,12 @@
 //	go test -run '^$' -bench . -benchmem ./... | benchjson -out BENCH_core.json -label my-change
 //
 // The output file holds a list of runs; each run records the label, the
-// platform, the timestamp and every parsed benchmark line (iterations,
-// ns/op, and — with -benchmem — B/op and allocs/op). An existing file is
+// platform, the host's CPU count and GOMAXPROCS, the timestamp and every
+// parsed benchmark line (iterations, ns/op, and — with -benchmem — B/op and
+// allocs/op). `go test` appends "-N" to a benchmark's name when it runs
+// with GOMAXPROCS N > 1; benchjson drops the suffix that matches its own
+// GOMAXPROCS, so a benchmark keeps one name across hosts. Run both
+// processes in one environment, as `make bench-json` does. An existing file is
 // read first and the new run appended, so the file accumulates the perf
 // trajectory across commits. Use `make bench-json` for the canonical
 // hot-path benchmark set.
@@ -15,12 +19,15 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"runtime"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -40,6 +47,8 @@ type Run struct {
 	GoOS       string      `json:"goos"`
 	GoArch     string      `json:"goarch"`
 	GoVersion  string      `json:"go_version"`
+	NumCPU     int         `json:"num_cpu,omitempty"`
+	GOMAXPROCS int         `json:"gomaxprocs,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -59,18 +68,38 @@ func main() {
 	label := flag.String("label", "dev", "label for this run (e.g. a PR or commit id)")
 	flag.Parse()
 
+	procs := runtime.GOMAXPROCS(0)
 	run := Run{
-		Label:     *label,
-		Date:      time.Now().UTC().Format(time.RFC3339),
-		GoOS:      runtime.GOOS,
-		GoArch:    runtime.GOARCH,
-		GoVersion: runtime.Version(),
+		Label:      *label,
+		Date:       time.Now().UTC().Format(time.RFC3339),
+		GoOS:       runtime.GOOS,
+		GoArch:     runtime.GOARCH,
+		GoVersion:  runtime.Version(),
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: procs,
 	}
-	sc := bufio.NewScanner(os.Stdin)
+	var err error
+	if run.Benchmarks, err = parseBenchmarks(os.Stdin, os.Stdout, procs); err == nil {
+		err = appendRun(*out, run)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Fprintf(os.Stderr, "benchjson: appended run %q (%d benchmarks) to %s\n", *label, len(run.Benchmarks), *out)
+}
+
+// parseBenchmarks reads `go test -bench` output from r, passing every line
+// through to echo so the human still sees the run, and returns the parsed
+// benchmark lines with the "-procs" name suffix dropped.
+func parseBenchmarks(r io.Reader, echo io.Writer, procs int) ([]Benchmark, error) {
+	suffix := "-" + strconv.Itoa(procs)
+	var out []Benchmark
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := sc.Text()
-		fmt.Println(line) // pass through so the human still sees the run
+		fmt.Fprintln(echo, line)
 		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
@@ -78,43 +107,41 @@ func main() {
 		iters, _ := strconv.ParseInt(m[2], 10, 64)
 		ns, _ := strconv.ParseFloat(m[3], 64)
 		bench := Benchmark{Name: m[1], Iterations: iters, NsPerOp: ns}
+		if procs > 1 {
+			bench.Name = strings.TrimSuffix(bench.Name, suffix)
+		}
 		if m[4] != "" {
 			bench.BytesPerOp, _ = strconv.ParseFloat(m[4], 64)
 			allocs, _ := strconv.ParseInt(m[5], 10, 64)
 			bench.AllocsOp = &allocs
 		}
-		run.Benchmarks = append(run.Benchmarks, bench)
+		out = append(out, bench)
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: read stdin: %v\n", err)
-		os.Exit(1)
+		return nil, fmt.Errorf("read stdin: %w", err)
 	}
-	if len(run.Benchmarks) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines found on stdin")
-		os.Exit(1)
+	if len(out) == 0 {
+		return nil, errors.New("no benchmark lines found on stdin")
 	}
+	return out, nil
+}
 
+// appendRun appends run to the trajectory file at path, creating it if it
+// does not exist.
+func appendRun(path string, run Run) error {
 	file := File{Schema: 1}
-	if data, err := os.ReadFile(*out); err == nil {
+	if data, err := os.ReadFile(path); err == nil {
 		if err := json.Unmarshal(data, &file); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: existing %s is not a trajectory file: %v\n", *out, err)
-			os.Exit(1)
+			return fmt.Errorf("existing %s is not a trajectory file: %w", path, err)
 		}
 	} else if !os.IsNotExist(err) {
-		fmt.Fprintf(os.Stderr, "benchjson: read %s: %v\n", *out, err)
-		os.Exit(1)
+		return err
 	}
 	file.Schema = 1
 	file.Runs = append(file.Runs, run)
-
 	data, err := json.MarshalIndent(file, "", "  ")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: write %s: %v\n", *out, err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: appended run %q (%d benchmarks) to %s\n", *label, len(run.Benchmarks), *out)
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

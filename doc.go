@@ -102,13 +102,13 @@
 // distribution v(t) depends only on the Beta posterior and the running
 // estimate, which change exactly when a label is committed, so the sampler
 // caches v(t) — together with a prepared inverse-CDF stratum sampler and the
-// per-stratum importance weights — behind a dirty flag that only
-// Commit/Restore set. A ProposeBatch(n) with no intervening commits
+// per-stratum importance weights — behind a dirty flag that only a commit
+// or a restore sets. A ProposeBatch(n) with no intervening commits
 // therefore computes v once and pays O(log K) per draw with zero heap
 // allocations, instead of the O(K) rebuild-validate-scan per draw of the
 // sequential formulation. Equivalence is not approximate: the cached path
 // draws bit-for-bit the same sequence as rebuilding v on every call (see
-// TestGoldenSequence in internal/core).
+// TestGoldenSequence).
 //
 // ProposeBatch is also rejection-free. Per-stratum proposability accounting
 // (one 8-byte slot per pair) resolves every draw in O(1): draws of labelled
@@ -143,9 +143,10 @@
 // reason in /metrics, and the README's "Memory & zero-copy" section has the
 // full platform matrix and gauge guide.
 //
-// The hot-path microbenchmarks live in internal/core (BenchmarkDraw,
-// BenchmarkDrawCommit, BenchmarkInstrumental), the package root
-// (BenchmarkProposeBatch/{n=1,64,1024}, BenchmarkProposeCommit),
+// The hot-path microbenchmarks live in the package root (BenchmarkDraw,
+// BenchmarkDrawCommit, BenchmarkInstrumental,
+// BenchmarkProposeBatch/{n=1,64,1024}, BenchmarkProposeCommit,
+// BenchmarkProposeNearExhaustion),
 // internal/server (BenchmarkServerPropose), internal/wal
 // (BenchmarkCommitDurable, the WAL durability tax per fsync policy) and
 // internal/poolstore (BenchmarkPoolAcquire, cold load via mmap vs decode).

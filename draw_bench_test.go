@@ -1,44 +1,32 @@
-package core
+package oasis
 
-// Microbenchmarks for the sampler hot path: a draw (DrawStratum plus the
+// Microbenchmarks for the model's hot path: a draw (drawStratum plus the
 // uniform pair pick; steady state, no intervening commits — the
 // batched-proposal case) and draw+commit (the fully adaptive sequential
 // case, which rebuilds the instrumental distribution once per label). These
 // are the numbers `make bench-json` tracks in BENCH_core.json.
 
-import (
-	"testing"
+import "testing"
 
-	"oasis/internal/rng"
-	"oasis/internal/strata"
-)
-
-// benchSampler builds a K≈30 sampler over a synthetic imbalanced pool with
+// benchModel builds a K≈30 sampler over a synthetic imbalanced pool with
 // a warmed-up posterior (200 committed labels), the regime the evaluation
-// service lives in.
-func benchSampler(b *testing.B, n int) *Sampler {
+// service lives in. It returns the pool's truth probabilities with it.
+func benchModel(b *testing.B, n int) (*Sampler, []float64) {
 	b.Helper()
 	p := makePool(n, 50, 1)
-	s, err := strata.CSF(p, 30, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	o, err := New(p, s, Config{Alpha: 0.5}, rng.New(7))
-	if err != nil {
-		b.Fatal(err)
-	}
+	o := newOASIS(b, p, 30, Options{Alpha: 0.5}, 7)
 	for i := 0; i < 200; i++ {
 		d := draw(o)
-		o.Commit(d, p.TruthProb[d.Pair] >= 0.5)
+		commit(o, d, p.TruthProb[d.Pair] >= 0.5)
 	}
-	return o
+	return o, p.TruthProb
 }
 
 // BenchmarkDraw measures one with-replacement draw with no intervening
 // commits: the steady-state cost of ProposeBatch's inner loop. Target:
 // amortized O(1) per draw and 0 allocs/op.
 func BenchmarkDraw(b *testing.B) {
-	o := benchSampler(b, 100_000)
+	o, _ := benchModel(b, 100_000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -50,13 +38,12 @@ func BenchmarkDraw(b *testing.B) {
 // followed by a commit, so the instrumental distribution is rebuilt each
 // iteration (O(K) amortized over one label, as in sequential Algorithm 3).
 func BenchmarkDrawCommit(b *testing.B) {
-	o := benchSampler(b, 100_000)
-	preds := o.pool.TruthProb
+	o, truth := benchModel(b, 100_000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := draw(o)
-		o.Commit(d, preds[d.Pair] >= 0.5)
+		commit(o, d, truth[d.Pair] >= 0.5)
 	}
 }
 
@@ -64,7 +51,7 @@ func BenchmarkDrawCommit(b *testing.B) {
 // instrumental distribution (posterior means + Eqn. 12), the per-commit
 // amortized cost behind BenchmarkDraw.
 func BenchmarkInstrumental(b *testing.B) {
-	o := benchSampler(b, 100_000)
+	o, _ := benchModel(b, 100_000)
 	dst := make([]float64, o.K())
 	b.ReportAllocs()
 	b.ResetTimer()

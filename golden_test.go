@@ -1,4 +1,4 @@
-package core
+package oasis
 
 // Golden-sequence equivalence: the optimized draw path — cached v(t) behind
 // a commit-dirty flag, prepared O(log K) stratum sampler, precomputed
@@ -10,7 +10,6 @@ package core
 import (
 	"testing"
 
-	"oasis/internal/rng"
 	"oasis/internal/sampler"
 	"oasis/internal/strata"
 )
@@ -56,13 +55,13 @@ func requireSameDraw(t *testing.T, step int, opt, ref sampler.Draw) {
 
 func TestGoldenSequence(t *testing.T) {
 	p := makePool(20_000, 40, 5)
-	s, err := strata.CSF(p, 30, 0)
+	st, err := Stratify(WrapPool(p), Options{Strata: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Alpha: 0.5}
+	s := st.s
 	newSampler := func(seed uint64) *Sampler {
-		o, err := New(p, s, cfg, rng.New(seed))
+		o, err := NewSamplerStratified(WrapPool(p), Options{Alpha: 0.5, Seed: seed}, st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,8 +79,8 @@ func TestGoldenSequence(t *testing.T) {
 		d := draw(opt)
 		rd := refDraw(t, ref, members)
 		requireSameDraw(t, step, d, rd)
-		opt.Commit(d, label(d.Pair))
-		ref.Commit(rd, label(rd.Pair))
+		commit(opt, d, label(d.Pair))
+		commit(ref, rd, label(rd.Pair))
 	}
 
 	// Phase 2: the batched-proposal regime — many draws, zero commits. The
@@ -96,26 +95,26 @@ func TestGoldenSequence(t *testing.T) {
 	// Phase 3: snapshot round-trip. Restoring into a sampler whose own
 	// stream and caches are elsewhere must rebuild the cached v(t) and
 	// continue the reference sequence exactly.
-	st := opt.State()
+	snap := opt.modelSnapshot()
 	resumed := newSampler(123456) // different seed: Restore must overwrite it
 	for i := 0; i < 7; i++ {      // desync its caches and stream first
-		resumed.Commit(draw(resumed), i%2 == 0)
+		commit(resumed, draw(resumed), i%2 == 0)
 	}
-	if err := resumed.Restore(st); err != nil {
+	if err := resumed.restoreModel(snap); err != nil {
 		t.Fatal(err)
 	}
 	for step := 0; step < 300; step++ {
 		d := draw(resumed)
 		rd := refDraw(t, ref, members)
 		requireSameDraw(t, step, d, rd)
-		resumed.Commit(d, label(d.Pair))
-		ref.Commit(rd, label(rd.Pair))
+		commit(resumed, d, label(d.Pair))
+		commit(ref, rd, label(rd.Pair))
 	}
 
 	if got, want := resumed.Estimate(), ref.Estimate(); got != want {
 		t.Fatalf("final estimate: optimized %v != reference %v", got, want)
 	}
-	if got, want := resumed.Iterations(), ref.Iterations(); got != want {
+	if got, want := resumed.est.N(), ref.est.N(); got != want {
 		t.Fatalf("iterations: optimized %d != reference %d", got, want)
 	}
 }
@@ -125,27 +124,17 @@ func TestGoldenSequence(t *testing.T) {
 // (the plug-in estimate) when building v(t).
 func TestGoldenSequencePosteriorEstimate(t *testing.T) {
 	p := makePool(5_000, 40, 9)
-	s, err := strata.CSF(p, 20, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Alpha: 0.5, PosteriorEstimate: true}
-	opt, err := New(p, s, cfg, rng.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := New(p, s, cfg, rng.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	members := refMembers(s)
+	opts := Options{Alpha: 0.5, PosteriorEstimate: true}
+	opt := newOASIS(t, p, 20, opts, 4)
+	ref := newOASIS(t, p, 20, opts, 4)
+	members := refMembers(ref.str)
 	for step := 0; step < 400; step++ {
 		d := draw(opt)
 		rd := refDraw(t, ref, members)
 		requireSameDraw(t, step, d, rd)
 		lab := p.TruthProb[d.Pair] >= 0.5
-		opt.Commit(d, lab)
-		ref.Commit(rd, lab)
+		commit(opt, d, lab)
+		commit(ref, rd, lab)
 	}
 	if got, want := opt.Estimate(), ref.Estimate(); got != want {
 		t.Fatalf("final estimate: optimized %v != reference %v", got, want)
@@ -156,15 +145,15 @@ func TestGoldenSequencePosteriorEstimate(t *testing.T) {
 // weights stay in lockstep with the cached distribution across commits.
 func TestDrawStratumWeightMatchesInstrumental(t *testing.T) {
 	p := makePool(3_000, 30, 2)
-	o := newOASIS(t, p, 15, Config{Alpha: 0.5}, 8)
+	o := newOASIS(t, p, 15, Options{Alpha: 0.5}, 8)
 	for step := 0; step < 200; step++ {
-		v := o.InstrumentalCached() // refreshes the cache
+		v := o.instrumental() // refreshes the cache
 		d := draw(o)
 		if want := o.str.Weights[d.Stratum] / v[d.Stratum]; d.Weight != want {
 			t.Fatalf("step %d: weight %v, want ω/v = %v", step, d.Weight, want)
 		}
 		if step%3 == 0 {
-			o.Commit(d, step%6 == 0)
+			commit(o, d, step%6 == 0)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"oasis"
-	"oasis/internal/core"
 	"oasis/internal/oracle"
 	"oasis/internal/pool"
 	"oasis/internal/sampler"
@@ -42,8 +41,8 @@ func RunConvergence(s *oasis.Sampler, p *pool.Pool, st *strata.Strata,
 		budget = p.N()
 	}
 	trueF := p.TrueFMeasure(alpha)
-	truePi := core.TruePi(p, st)
-	trueV := core.TrueOptimalV(p, st, alpha)
+	truePi := strata.TruePi(p, st)
+	trueV := strata.TrueOptimalV(p, st, alpha)
 
 	conv := &Convergence{}
 	record := func(labels int) error {

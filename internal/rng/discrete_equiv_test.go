@@ -2,9 +2,10 @@ package rng
 
 // Equivalence and reuse tests for the prepared/trusted sampling fast paths
 // introduced for the OASIS hot loop: Cumulative.Draw must pick the exact
-// index Categorical would from the same variate (the core sampler's golden
-// sequence depends on it), Reset must reuse its buffer, and
-// CategoricalTrusted must match Categorical draw-for-draw.
+// index Categorical would from the same variate (the OASIS sampler's golden
+// sequence, TestGoldenSequence in the root package, depends on it), Reset
+// must reuse its buffer, and CategoricalTrusted must match Categorical
+// draw-for-draw.
 
 import (
 	"math"

@@ -1,24 +1,28 @@
-package core
+package oasis
+
+// Tests of the OASIS model (model.go) driven as the paper's sequential
+// Algorithm 3: each draw is folded in at once, with no proposal bookkeeping.
 
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"oasis/internal/oracle"
 	"oasis/internal/pool"
 	"oasis/internal/rng"
 	"oasis/internal/sampler"
-	"oasis/internal/strata"
 )
 
 // draw is one draw of the sequential Algorithm 3: stratum k* ~ v(t), then a
 // pair uniform within P_k* from the sampler's own stream.
 func draw(o *Sampler) sampler.Draw {
-	k, w := o.DrawStratum()
+	k, w := o.drawStratum()
 	members := o.str.Members(k)
 	return sampler.Draw{Pair: int(members[o.rng.Intn(len(members))]), Stratum: k, Weight: w}
 }
+
+// commit folds the label of a drawn pair into the model.
+func commit(o *Sampler, d sampler.Draw, label bool) { o.fold(d.Pair, d.Stratum, d.Weight, label) }
 
 // step is one iteration of Algorithm 3: draw, label the pair through the
 // run's label cache (the oracle is asked once per pair), commit. The tests
@@ -31,7 +35,7 @@ func step(o *Sampler, orc oracle.Oracle, cache map[int]bool) {
 		label = orc.Label(d.Pair)
 		cache[d.Pair] = label
 	}
-	o.Commit(d, label)
+	commit(o, d, label)
 }
 
 // steps makes n iterations of step with a fresh label cache.
@@ -49,7 +53,7 @@ func steps(o *Sampler, orc oracle.Oracle, n int) {
 func makePool(n int, imbalance float64, seed uint64) *pool.Pool {
 	r := rng.New(seed)
 	p := &pool.Pool{
-		Name:          "core-test",
+		Name:          "model-test",
 		Scores:        make([]float64, n),
 		Preds:         make([]bool, n),
 		TruthProb:     make([]float64, n),
@@ -72,13 +76,11 @@ func makePool(n int, imbalance float64, seed uint64) *pool.Pool {
 	return p
 }
 
-func newOASIS(t *testing.T, p *pool.Pool, k int, cfg Config, seed uint64) *Sampler {
+// newOASIS builds a sampler over p with k CSF strata and the given seed.
+func newOASIS(t testing.TB, p *pool.Pool, k int, opts Options, seed uint64) *Sampler {
 	t.Helper()
-	s, err := strata.CSF(p, k, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, err := New(p, s, cfg, rng.New(seed))
+	opts.Strata, opts.Seed = k, seed
+	o, err := NewSampler(WrapPool(p), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,27 +89,24 @@ func newOASIS(t *testing.T, p *pool.Pool, k int, cfg Config, seed uint64) *Sampl
 
 func TestNewValidation(t *testing.T) {
 	p := makePool(500, 50, 1)
-	s, err := strata.CSF(p, 10, 0)
+	s, err := Stratify(WrapPool(p), Options{Strata: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(&pool.Pool{}, s, Config{Alpha: 0.5}, rng.New(1)); err == nil {
+	if _, err := NewSamplerStratified(WrapPool(&pool.Pool{}), Options{Alpha: 0.5, Seed: 1}, s); err == nil {
 		t.Error("expected error on empty pool")
 	}
-	if _, err := New(p, nil, Config{Alpha: 0.5}, rng.New(1)); err != ErrNoStrata {
-		t.Error("expected ErrNoStrata")
-	}
 	other := makePool(100, 50, 2)
-	sOther, _ := strata.CSF(other, 5, 0)
-	if _, err := New(p, sOther, Config{Alpha: 0.5}, rng.New(1)); err == nil {
+	sOther, _ := Stratify(WrapPool(other), Options{Strata: 5})
+	if _, err := NewSamplerStratified(WrapPool(p), Options{Alpha: 0.5, Seed: 1}, sOther); err == nil {
 		t.Error("expected error on strata/pool mismatch")
 	}
 }
 
 func TestInitialEstimates(t *testing.T) {
 	p := makePool(2000, 50, 3)
-	o := newOASIS(t, p, 20, Config{Alpha: 0.5}, 4)
-	f0 := o.InitialF()
+	o := newOASIS(t, p, 20, Options{Alpha: 0.5}, 4)
+	f0 := o.InitialEstimate()
 	if math.IsNaN(f0) || f0 < 0 || f0 > 1 {
 		t.Fatalf("F̂(0) = %v", f0)
 	}
@@ -128,8 +127,8 @@ func TestInitialEstimates(t *testing.T) {
 
 func TestInstrumentalIsDistribution(t *testing.T) {
 	p := makePool(2000, 100, 5)
-	o := newOASIS(t, p, 25, Config{Alpha: 0.5}, 6)
-	v := o.InstrumentalCached()
+	o := newOASIS(t, p, 25, Options{Alpha: 0.5}, 6)
+	v := o.instrumental()
 	sum := 0.0
 	for k, q := range v {
 		if q <= 0 {
@@ -147,12 +146,12 @@ func TestEpsilonGreedyLowerBound(t *testing.T) {
 	// bounded by 1/ε.
 	p := makePool(3000, 200, 7)
 	eps := 0.01
-	o := newOASIS(t, p, 30, Config{Alpha: 0.5, Epsilon: eps}, 8)
+	o := newOASIS(t, p, 30, Options{Alpha: 0.5, Epsilon: eps}, 8)
 	orc := oracle.FromProbs(p.TruthProb, rng.New(9))
 	cache := make(map[int]bool)
 	for i := 0; i < 500; i++ {
 		step(o, orc, cache)
-		v := o.InstrumentalCached()
+		v := o.instrumental()
 		for k, q := range v {
 			if q < eps*o.str.Weights[k]-1e-12 {
 				t.Fatalf("step %d: v[%d]=%v below ε·ω=%v", i, k, q, eps*o.str.Weights[k])
@@ -171,7 +170,7 @@ func TestOASISConvergesCalibrated(t *testing.T) {
 	var errSum float64
 	const runs = 10
 	for run := 0; run < runs; run++ {
-		o := newOASIS(t, p, 30, Config{Alpha: 0.5}, 100+uint64(run))
+		o := newOASIS(t, p, 30, Options{Alpha: 0.5}, 100+uint64(run))
 		steps(o, oracle.FromProbs(p.TruthProb, rng.New(200+uint64(run))), 4000)
 		errSum += math.Abs(o.Estimate() - trueF)
 	}
@@ -198,14 +197,7 @@ func TestOASISConvergesUncalibrated(t *testing.T) {
 	var errSum float64
 	const runs = 10
 	for run := 0; run < runs; run++ {
-		s, err := strata.CSF(raw, 30, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o, err := New(raw, s, Config{Alpha: 0.5}, rng.New(300+uint64(run)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		o := newOASIS(t, raw, 30, Options{Alpha: 0.5}, 300+uint64(run))
 		steps(o, oracle.FromProbs(raw.TruthProb, rng.New(400+uint64(run))), 4000)
 		errSum += math.Abs(o.Estimate() - trueF)
 	}
@@ -239,14 +231,7 @@ func TestOASISConvergesNoisyOracle(t *testing.T) {
 	var errSum float64
 	const runs = 8
 	for run := 0; run < runs; run++ {
-		s, err := strata.CSF(p, 20, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o, err := New(p, s, Config{Alpha: 0.5}, rng.New(500+uint64(run)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		o := newOASIS(t, p, 20, Options{Alpha: 0.5}, 500+uint64(run))
 		// No caching correctness issue: each pair keeps one realised label
 		// per run, matching how a crowd answers once. The estimator then
 		// targets the realised-label F, which concentrates around trueF.
@@ -261,17 +246,17 @@ func TestOASISConvergesNoisyOracle(t *testing.T) {
 func TestPrecisionAndRecallTargets(t *testing.T) {
 	p := makePool(20000, 50, 13)
 	for _, tc := range []struct {
-		alpha float64
-		want  float64
-		name  string
+		opts Options
+		want float64
+		name string
 	}{
-		{1, p.TruePrecision(), "precision"},
-		{0, p.TrueRecall(), "recall"},
+		{Options{Alpha: 1}, p.TruePrecision(), "precision"},
+		{Options{Recall: true}, p.TrueRecall(), "recall"},
 	} {
 		var errSum float64
 		const runs = 8
 		for run := 0; run < runs; run++ {
-			o := newOASIS(t, p, 30, Config{Alpha: tc.alpha}, 700+uint64(run))
+			o := newOASIS(t, p, 30, tc.opts, 700+uint64(run))
 			steps(o, oracle.FromProbs(p.TruthProb, rng.New(800+uint64(run))), 4000)
 			errSum += math.Abs(o.Estimate() - tc.want)
 		}
@@ -283,10 +268,10 @@ func TestPrecisionAndRecallTargets(t *testing.T) {
 
 func TestPosteriorUpdates(t *testing.T) {
 	p := makePool(1000, 20, 14)
-	o := newOASIS(t, p, 10, Config{Alpha: 0.5, PriorStrength: 2}, 15)
-	before := o.PosteriorMean(nil)
+	o := newOASIS(t, p, 10, Options{Alpha: 0.5, PriorStrength: 2}, 15)
+	before := o.PosteriorMean()
 	steps(o, oracle.FromProbs(p.TruthProb, rng.New(16)), 200)
-	after := o.PosteriorMean(nil)
+	after := o.PosteriorMean()
 	changed := false
 	for k := range before {
 		if after[k] < 0 || after[k] > 1 {
@@ -314,36 +299,26 @@ func TestPosteriorMeanMatchesBetaFormula(t *testing.T) {
 		p.Scores[i] = 0.5
 		p.TruthProb[i] = 1 // all matches
 	}
-	s, err := strata.CSF(p, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	eta := 4.0
 	// Bare Algorithm 3 (no Remark 4 decay): Eqn. 11 exactly.
-	o, err := New(p, s, Config{Alpha: 0.5, PriorStrength: eta, DisablePriorDecay: true}, rng.New(17))
-	if err != nil {
-		t.Fatal(err)
-	}
+	o := newOASIS(t, p, 1, Options{Alpha: 0.5, PriorStrength: eta, NoPriorDecay: true}, 17)
 	pi0 := o.piInit[0]
 	const draws = 25
 	steps(o, oracle.FromProbs(p.TruthProb, rng.New(18)), draws)
 	// All labels are matches: posterior mean = (η·π0 + 25)/(η + 25).
 	want := (eta*pi0 + draws) / (eta + draws)
-	got := o.PosteriorMean(nil)[0]
+	got := o.PosteriorMean()[0]
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("posterior mean %v, want %v", got, want)
 	}
 
 	// Default decay mode: prior pseudo-counts shrink by 1/(1+n_k), so the
 	// posterior mean is (η·π0/(1+n) + n)/(η/(1+n) + n) after n matches.
-	od, err := New(p, s, Config{Alpha: 0.5, PriorStrength: eta}, rng.New(17))
-	if err != nil {
-		t.Fatal(err)
-	}
+	od := newOASIS(t, p, 1, Options{Alpha: 0.5, PriorStrength: eta}, 17)
 	steps(od, oracle.FromProbs(p.TruthProb, rng.New(18)), draws)
 	decayFactor := 1.0 / (1 + draws)
 	wantDecay := (eta*pi0*decayFactor + draws) / (eta*decayFactor + draws)
-	gotDecay := od.PosteriorMean(nil)[0]
+	gotDecay := od.PosteriorMean()[0]
 	if math.Abs(gotDecay-wantDecay) > 1e-9 {
 		t.Errorf("decayed posterior mean %v, want %v", gotDecay, wantDecay)
 	}
@@ -363,47 +338,12 @@ func TestPriorDecay(t *testing.T) {
 		p.TruthProb[i] = 0
 	}
 	run := func(decay bool) float64 {
-		s, err := strata.CSF(p, 1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o, err := New(p, s, Config{Alpha: 0.5, PriorStrength: 60, DisablePriorDecay: !decay}, rng.New(19))
-		if err != nil {
-			t.Fatal(err)
-		}
+		o := newOASIS(t, p, 1, Options{Alpha: 0.5, PriorStrength: 60, NoPriorDecay: !decay}, 19)
 		steps(o, oracle.FromProbs(p.TruthProb, rng.New(20)), 30)
-		return o.PosteriorMean(nil)[0] // true value is 0
+		return o.PosteriorMean()[0] // true value is 0
 	}
 	if withDecay, without := run(true), run(false); withDecay >= without {
 		t.Errorf("decay %v should beat no-decay %v under misspecified prior", withDecay, without)
-	}
-}
-
-func TestTruePiAndTrueOptimalV(t *testing.T) {
-	p := makePool(5000, 50, 21)
-	s, err := strata.CSF(p, 15, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pi := TruePi(p, s)
-	if len(pi) != s.K() {
-		t.Fatalf("TruePi length %d", len(pi))
-	}
-	for k, v := range pi {
-		if v < 0 || v > 1 {
-			t.Errorf("TruePi[%d] = %v", k, v)
-		}
-	}
-	v := TrueOptimalV(p, s, 0.5)
-	sum := 0.0
-	for _, q := range v {
-		if q < 0 {
-			t.Errorf("negative v* component %v", q)
-		}
-		sum += q
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("v* sums to %v", sum)
 	}
 }
 
@@ -416,7 +356,7 @@ func TestOASISBeatsPassiveVariance(t *testing.T) {
 	const budget = 300
 	var oasisSq, passiveSq float64
 	for run := 0; run < runs; run++ {
-		o := newOASIS(t, p, 30, Config{Alpha: 0.5}, 1000+uint64(run))
+		o := newOASIS(t, p, 30, Options{Alpha: 0.5}, 1000+uint64(run))
 		orc, cache := oracle.FromProbs(p.TruthProb, rng.New(2000+uint64(run))), make(map[int]bool)
 		for len(cache) < budget {
 			step(o, orc, cache)
@@ -441,32 +381,10 @@ func TestOASISBeatsPassiveVariance(t *testing.T) {
 	}
 }
 
-func TestStratifiedOptimalProperties(t *testing.T) {
-	f := func(aR, fR, piR, lamR, omR uint8) bool {
-		alpha := float64(aR%101) / 100
-		fv := float64(fR%101) / 100
-		pi := float64(piR%101) / 100
-		lam := float64(lamR%101) / 100
-		om := float64(omR%100)/100 + 0.01
-		v := StratifiedOptimal(alpha, fv, pi, lam, om)
-		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-		// Zero prediction mass and zero match probability → zero optimal mass.
-		if StratifiedOptimal(alpha, fv, 0, 0, om) != 0 {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestDeterministicRuns(t *testing.T) {
 	p := makePool(5000, 50, 23)
 	run := func() float64 {
-		o := newOASIS(t, p, 20, Config{Alpha: 0.5}, 42)
+		o := newOASIS(t, p, 20, Options{Alpha: 0.5}, 42)
 		steps(o, oracle.FromProbs(p.TruthProb, rng.New(43)), 500)
 		return o.Estimate()
 	}
@@ -475,19 +393,20 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
-// method runs the core sampler under sampler.Run: a draw is one draw of the
-// sequential Algorithm 3 (see draw), a commit the sampler's own Commit.
+// method runs the model under sampler.Run: a draw is one draw of the
+// sequential Algorithm 3 (see draw), a commit folds it in (see commit).
 type method struct{ *Sampler }
 
-func (method) Name() string         { return "OASIS" }
-func (m method) Draw() sampler.Draw { return draw(m.Sampler) }
+func (method) Name() string                        { return "OASIS" }
+func (m method) Draw() sampler.Draw                { return draw(m.Sampler) }
+func (m method) Commit(d sampler.Draw, label bool) { commit(m.Sampler, d, label) }
 
 // TestBudgetExhaustion checks that sampler.Run stops OASIS exactly at its
 // label budget: the oracle is asked once per distinct pair, never past the
 // budget, and every draw is committed.
 func TestBudgetExhaustion(t *testing.T) {
 	p := makePool(1000, 20, 24)
-	o := newOASIS(t, p, 10, Config{Alpha: 0.5}, 25)
+	o := newOASIS(t, p, 10, Options{Alpha: 0.5}, 25)
 	asked := 0
 	orc := oracle.FromProbs(p.TruthProb, rng.New(26))
 	labels, draws, err := sampler.Run(method{o}, countOracle{orc, &asked}, 5, nil)
@@ -497,8 +416,8 @@ func TestBudgetExhaustion(t *testing.T) {
 	if labels != 5 || asked != 5 {
 		t.Errorf("labels %d, oracle asked %d times; want 5 and 5", labels, asked)
 	}
-	if draws < labels || o.Iterations() != draws {
-		t.Errorf("draws %d, commits %d", draws, o.Iterations())
+	if draws < labels || o.est.N() != draws {
+		t.Errorf("draws %d, commits %d", draws, o.est.N())
 	}
 }
 

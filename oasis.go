@@ -6,8 +6,8 @@ import (
 	"math"
 	"time"
 
-	"oasis/internal/core"
 	"oasis/internal/diag"
+	"oasis/internal/estimator"
 	"oasis/internal/pool"
 	"oasis/internal/rng"
 	"oasis/internal/sampler"
@@ -160,9 +160,52 @@ type Result struct {
 // labelled at once. A Sampler is not safe for concurrent use; the session
 // subsystem (internal/session, served by cmd/oasis-server) adds locking,
 // leases and persistence on top.
+//
+// A Sampler is one engine in two halves: the OASIS model of Algorithms 2
+// and 3 (Beta posteriors, the instrumental distribution v(t) and the AIS
+// estimate; model.go) and the proposal engine that picks pairs and keeps
+// their labels (this file).
 type Sampler struct {
-	inner *core.Sampler
 	str   *strata.Strata
+	preds []bool // the pool's predicted labels, read by the estimator
+	rng   *rng.RNG
+
+	// Hyperparameters of Algorithm 3, resolved once by NewSamplerStratified.
+	alpha, epsilon, eta           float64
+	priorDecay, posteriorEstimate bool
+
+	// Bayesian model state: prior0[k], prior1[k] are the prior
+	// pseudo-counts of matches and non-matches (Γ(0), rows of Eqn. 9),
+	// count0[k], count1[k] the labels that arrived, and labelsSeen[k] = n_k
+	// the terms folded into stratum k, which drives the Remark 4 prior decay.
+	prior0, prior1 []float64
+	count0, count1 []float64
+	labelsSeen     []int64
+
+	// Per-stratum weight moments over folded terms: Σw and Σw² broken out
+	// by the stratum the draw came from. The estimator keeps only the pooled
+	// moments; these feed the convergence diagnostics.
+	stratSumW, stratSumW2 []float64
+
+	// Initial estimates π̂(0) and F̂(0) (Algorithm 2).
+	piInit []float64
+	fInit  float64
+
+	est estimator.Weighted
+
+	// Cached instrumental distribution: v, a prepared O(log K) inverse-CDF
+	// sampler vCum over it and the importance weights ω_k/v_k, rebuilt
+	// lazily behind vFresh (see refreshV). piBuf and vStar are scratch.
+	piBuf, vStar, v []float64
+	vCum            rng.Cumulative
+	vWeight         []float64
+	vFresh          bool
+
+	// Rebuild accounting for tracing: how many times the cached v(t) and the
+	// availability mask were actually rebuilt, and the nanoseconds those
+	// rebuilds took. The fresh-path checks cost nothing extra.
+	rebuilds     uint64
+	rebuildNanos int64
 
 	// Propose/commit bookkeeping: outstanding proposals live in a dense slab
 	// (pendingSlab) indexed per pair by its slot state, holding every draw
@@ -172,14 +215,13 @@ type Sampler struct {
 	// removal a swap-remove, both O(1).
 	pendingSlab []pendingEntry
 	// slots interleaves each pair with its proposal state in the strata's
-	// Perm order (stratum k occupies [slotOff[k], slotOff[k+1]), matching the
-	// core sampler's within-stratum item order). A uniform pair draw indexes
-	// slots once: pair identity and state — committed label included —
-	// share an 8-byte load, so the hot path takes a single random memory
-	// access instead of two dependent ones. slotOff and posOfPair alias the
-	// strata's Off and Pos (read-only); posOfPair maps a pool index back to
-	// its slot for the (colder) commit/release paths. Only slots is per
-	// sampler.
+	// Perm order (stratum k occupies [slotOff[k], slotOff[k+1]), ascending
+	// pool index within each stratum). A uniform pair draw indexes slots
+	// once: pair identity and state — committed label included — share an
+	// 8-byte load, so the hot path takes a single random memory access
+	// instead of two dependent ones. slotOff and posOfPair alias the strata's
+	// Off and Pos (read-only); posOfPair maps a pool index back to its slot
+	// for the (colder) commit/release paths. Only slots is per sampler.
 	slots     []pairSlot
 	slotOff   []int32
 	posOfPair []int32
@@ -189,7 +231,7 @@ type Sampler struct {
 	// extraDraws holds the re-draws of outstanding pairs (rare): keeping
 	// them out of the slab makes slab entries pointer-free scalars, so the
 	// propose hot path never takes a GC write barrier.
-	extraDraws map[int][]sampler.Draw
+	extraDraws map[int][]DrawTerm
 
 	// Proposability accounting for the rejection-free draw path. Everything
 	// here is a pure function of (labels, pending), so a sampler restored
@@ -201,17 +243,10 @@ type Sampler struct {
 	// Availability-masked stratum sampler for the near-exhaustion direct
 	// mode: v(t) restricted to strata that still hold a proposable pair
 	// (maskCum.Sum() is the retained mass Σ_avail v). Rebuilt lazily when
-	// the core's instrumental epoch moves or the availability sets change.
-	maskCum   *rng.Cumulative
+	// v(t) is invalidated or the availability sets change.
+	maskCum   rng.Cumulative
 	maskBuf   []float64
-	maskEpoch uint64
 	maskDirty bool
-
-	// Mask-rebuild accounting for tracing, mirroring the core sampler's
-	// (see core.Sampler.RebuildStats): count and nanoseconds of actual
-	// availability-mask rebuilds. The fresh-path check stays free.
-	maskRebuilds     uint64
-	maskRebuildNanos int64
 }
 
 // pendingEntry is one outstanding proposal: the pair, its stratum, and the
@@ -223,11 +258,6 @@ type pendingEntry struct {
 	pair    int32
 	stratum int32
 	weight  float64
-}
-
-// draw reconstructs the core draw record the entry froze.
-func (e pendingEntry) draw() sampler.Draw {
-	return sampler.Draw{Pair: int(e.pair), Stratum: int(e.stratum), Weight: e.weight}
 }
 
 // pairSlot is one pool pair in stratum order with its proposal state: ≥ 0
@@ -309,27 +339,53 @@ func NewSampler(p *Pool, opts Options) (*Sampler, error) {
 // bit-identical to what NewSampler would build: the stratification is
 // deterministic, and all randomness seeds from opts.Seed afterwards.
 func NewSamplerStratified(p *Pool, opts Options, st *Stratification) (*Sampler, error) {
+	str := st.s
+	if str.N() != p.N() {
+		return nil, fmt.Errorf("oasis: stratification of %d pairs does not cover a pool of %d", str.N(), p.N())
+	}
 	opts = opts.WithDefaults()
-	inner, err := core.New(p.inner, st.s, core.Config{
-		Alpha:             opts.Alpha,
-		Epsilon:           opts.Epsilon,
-		PriorStrength:     opts.PriorStrength,
-		DisablePriorDecay: opts.NoPriorDecay,
-		PosteriorEstimate: opts.PosteriorEstimate,
-	}, rng.New(opts.Seed))
-	if err != nil {
-		return nil, err
+	k := str.K()
+	// ε-greedy exploration weight in (0, 1] (default 1e-3, the paper's) and
+	// the prior strength η (default 2K, the paper's).
+	eps := opts.Epsilon
+	if eps <= 0 {
+		eps = 1e-3
 	}
-	out := &Sampler{
-		inner:      inner,
-		str:        st.s,
-		slots:      make([]pairSlot, st.s.N()),
-		slotOff:    st.s.Off,
-		posOfPair:  st.s.Pos,
-		availCount: make([]int32, st.s.K()),
+	eta := opts.PriorStrength
+	if eta <= 0 {
+		eta = 2 * float64(k)
 	}
-	out.resetAvailability(nil)
-	return out, nil
+	s := &Sampler{
+		str:               str,
+		preds:             p.inner.Preds,
+		rng:               rng.New(opts.Seed),
+		alpha:             opts.Alpha,
+		epsilon:           min(eps, 1),
+		eta:               eta,
+		priorDecay:        !opts.NoPriorDecay,
+		posteriorEstimate: opts.PosteriorEstimate,
+		prior0:            make([]float64, k),
+		prior1:            make([]float64, k),
+		count0:            make([]float64, k),
+		count1:            make([]float64, k),
+		labelsSeen:        make([]int64, k),
+		stratSumW:         make([]float64, k),
+		stratSumW2:        make([]float64, k),
+		piInit:            make([]float64, k),
+		est:               estimator.Weighted{Alpha: opts.Alpha},
+		piBuf:             make([]float64, k),
+		vStar:             make([]float64, k),
+		v:                 make([]float64, k),
+		vWeight:           make([]float64, k),
+		slots:             make([]pairSlot, str.N()),
+		slotOff:           str.Off,
+		posOfPair:         str.Pos,
+		availCount:        make([]int32, k),
+		maskBuf:           make([]float64, k),
+	}
+	s.initModel()
+	s.resetAvailability(nil)
+	return s, nil
 }
 
 // resetAvailability rebuilds the label store and the proposability
@@ -377,7 +433,7 @@ func (s *Sampler) pairState(pair int) int32 {
 
 // removePending swap-removes pair's slab entry, returning it together with
 // any queued re-draws. The caller must know the pair is outstanding.
-func (s *Sampler) removePending(pair int) (pendingEntry, []sampler.Draw) {
+func (s *Sampler) removePending(pair int) (pendingEntry, []DrawTerm) {
 	idx := s.slots[s.posOfPair[pair]].state
 	entry := s.pendingSlab[idx]
 	last := len(s.pendingSlab) - 1
@@ -388,24 +444,31 @@ func (s *Sampler) removePending(pair int) (pendingEntry, []sampler.Draw) {
 	}
 	s.pendingSlab = s.pendingSlab[:last]
 	s.slots[s.posOfPair[pair]].state = pairAvailable
-	var extra []sampler.Draw
+	var extra []DrawTerm
 	if len(s.extraDraws) > 0 {
-		if ex, ok := s.extraDraws[pair]; ok {
-			extra = ex
-			delete(s.extraDraws, pair)
-		}
+		extra = s.extraDraws[pair]
+		delete(s.extraDraws, pair)
 	}
 	return entry, extra
 }
 
+// queueExtra queues a re-draw of the outstanding pair, applied when its
+// label arrives.
+func (s *Sampler) queueExtra(pair int, t DrawTerm) {
+	if s.extraDraws == nil {
+		s.extraDraws = make(map[int][]DrawTerm)
+	}
+	s.extraDraws[pair] = append(s.extraDraws[pair], t)
+}
+
 // K returns the realised number of strata (≤ Options.Strata).
-func (s *Sampler) K() int { return s.inner.K() }
+func (s *Sampler) K() int { return s.str.K() }
 
 // InitialEstimate returns the score-based initial F̂(0) of Algorithm 2.
-func (s *Sampler) InitialEstimate() float64 { return s.inner.InitialF() }
+func (s *Sampler) InitialEstimate() float64 { return s.fInit }
 
 // Estimate returns the current F-measure estimate.
-func (s *Sampler) Estimate() float64 { return s.inner.Estimate() }
+func (s *Sampler) Estimate() float64 { return s.currentF() }
 
 // Health summarises the estimator's statistical health for monitoring:
 // the current estimate, the delta-method asymptotic variance σ̂² (so that
@@ -423,13 +486,12 @@ type Health struct {
 
 // Health reports the sampler's current estimator health.
 func (s *Sampler) Health() Health {
-	est := s.inner.Estimator()
 	return Health{
-		Estimate:           s.inner.Estimate(),
-		AsymptoticVariance: est.AsymptoticVariance(),
-		ESS:                est.ESS(),
-		ESSRatio:           est.ESSRatio(),
-		Terms:              est.N(),
+		Estimate:           s.currentF(),
+		AsymptoticVariance: s.est.AsymptoticVariance(),
+		ESS:                s.est.ESS(),
+		ESSRatio:           s.est.ESSRatio(),
+		Terms:              s.est.N(),
 	}
 }
 
@@ -440,8 +502,7 @@ func (s *Sampler) Health() Health {
 // sampling matches the current adaptive optimum). Like every other sampler
 // method it must be serialised with draws and commits by the caller.
 func (s *Sampler) StratumDiagnostics() []diag.StratumHealth {
-	draws, sumW, sumW2 := s.inner.StratumStats(nil, nil, nil)
-	return diag.StrataHealth(draws, sumW, sumW2, s.Instrumental())
+	return diag.StrataHealth(s.labelsSeen, s.stratSumW, s.stratSumW2, s.instrumental())
 }
 
 // Run labels `budget` more pairs through the oracle, one proposal at a
@@ -457,14 +518,14 @@ func (s *Sampler) Run(o OracleFunc, budget int) (*Result, error) {
 	if budget <= 0 {
 		return nil, errBudget
 	}
-	commits := s.inner.Iterations()
+	terms := s.est.N()
 	// Capped at the proposable supply, the run can neither stall nor exhaust
 	// the pool, and with no hook sampler.Run has no other error to return.
 	labels, _, _ := sampler.Run(sampler.Served{Proposer: s}, o, min(budget, s.availTotal), nil)
 	return &Result{
 		FMeasure:       s.Estimate(),
 		LabelsConsumed: labels,
-		Iterations:     s.inner.Iterations() - commits,
+		Iterations:     s.est.N() - terms,
 	}, nil
 }
 
@@ -532,7 +593,6 @@ func (s *Sampler) ProposeBatch(n int) ([]int, error) {
 	}
 	batch := make([]int, 0, capHint)
 	misses := 0
-	r := s.inner.Rand()
 	for len(batch) < n {
 		if s.availTotal == 0 {
 			return batch, ErrExhausted
@@ -544,9 +604,9 @@ func (s *Sampler) ProposeBatch(n int) ([]int, error) {
 			// the restricted draw: ω'_k/v'_k with v'_k = v_k/Σ_avail v and
 			// ω'_k = A_k/N the restricted stratum mass.
 			s.refreshMask()
-			k := s.maskCum.Draw(s.inner.Rand())
+			k := s.maskCum.Draw(s.rng)
 			avail := float64(s.availCount[k])
-			weight := s.maskCum.Sum() * avail / (float64(s.str.N()) * s.inner.InstrumentalCached()[k])
+			weight := s.maskCum.Sum() * avail / (float64(s.str.N()) * s.v[k])
 			pos := s.pickAvailable(k)
 			s.propose(pos, k, weight)
 			batch = append(batch, int(s.slots[pos].pair))
@@ -556,9 +616,9 @@ func (s *Sampler) ProposeBatch(n int) ([]int, error) {
 		// One draw of the sequential algorithm: stratum ~ v(t) (cached),
 		// pair uniform within the stratum. The slot read resolves pair
 		// identity and proposal state with a single random memory access.
-		k, weight := s.inner.DrawStratum()
+		k, weight := s.drawStratum()
 		off := s.slotOff[k]
-		pos := int(off) + r.Intn(int(s.slotOff[k+1]-off))
+		pos := int(off) + s.rng.Intn(int(s.slotOff[k+1]-off))
 		slot := s.slots[pos]
 		pair := int(slot.pair)
 		switch st := slot.state; {
@@ -569,13 +629,10 @@ func (s *Sampler) ProposeBatch(n int) ([]int, error) {
 		case st < pairAvailable:
 			// Free draw: fold the committed label in immediately, exactly as
 			// the sequential algorithm re-labels for free.
-			s.inner.Commit(sampler.Draw{Pair: pair, Stratum: k, Weight: weight}, st == pairMatch)
+			s.fold(pair, k, weight, st == pairMatch)
 			misses++
 		default:
-			if s.extraDraws == nil {
-				s.extraDraws = make(map[int][]sampler.Draw)
-			}
-			s.extraDraws[pair] = append(s.extraDraws[pair], sampler.Draw{Pair: pair, Stratum: k, Weight: weight})
+			s.queueExtra(pair, DrawTerm{Stratum: k, Weight: weight})
 			misses++
 		}
 	}
@@ -601,48 +658,35 @@ func (s *Sampler) propose(pos, k int, weight float64) {
 // instrumental distribution or the availability sets changed. Requires
 // availTotal > 0.
 func (s *Sampler) refreshMask() {
-	if !s.maskDirty && s.maskEpoch == s.inner.Epoch() && s.maskCum != nil {
+	if !s.maskDirty {
 		return
 	}
+	s.refreshV() // timed as a rebuild of its own
 	start := time.Now()
-	_, innerBefore := s.inner.RebuildStats()
-	v := s.inner.InstrumentalCached()
-	if s.maskBuf == nil {
-		s.maskBuf = make([]float64, len(v))
-	}
-	for k, vk := range v {
+	for k, vk := range s.v {
 		if s.availCount[k] > 0 {
 			s.maskBuf[k] = vk
 		} else {
 			s.maskBuf[k] = 0
 		}
 	}
-	if s.maskCum == nil {
-		s.maskCum = &rng.Cumulative{}
-	}
 	// v is strictly positive and at least one stratum is unmasked, so the
 	// masked weights always carry positive mass.
 	if err := s.maskCum.Reset(s.maskBuf); err != nil {
 		panic("oasis: availability mask lost all mass: " + err.Error())
 	}
-	s.maskEpoch = s.inner.Epoch()
 	s.maskDirty = false
-	s.maskRebuilds++
-	// A mask rebuild may itself trigger the inner v(t) rebuild through
-	// InstrumentalCached; subtract that delta so RebuildStats' sum never
-	// double-counts it.
-	_, innerAfter := s.inner.RebuildStats()
-	s.maskRebuildNanos += time.Since(start).Nanoseconds() - (innerAfter - innerBefore)
+	s.rebuilds++
+	s.rebuildNanos += time.Since(start).Nanoseconds()
 }
 
-// RebuildStats reports the sampler's dirty-flag cache rebuilds — the core
+// RebuildStats reports the sampler's dirty-flag cache rebuilds — the
 // instrumental distribution v(t) plus the availability mask over it — as a
 // cumulative count and total nanoseconds. The session layer reads deltas
 // across one propose/commit call and records them as a sampler.rebuild
 // span. Callers serialise as with every other sampler method.
 func (s *Sampler) RebuildStats() (count uint64, nanos int64) {
-	c, n := s.inner.RebuildStats()
-	return c + s.maskRebuilds, n + s.maskRebuildNanos
+	return s.rebuilds, s.rebuildNanos
 }
 
 // pickAvailable returns the slot position of a uniform draw from the
@@ -654,7 +698,7 @@ func (s *Sampler) RebuildStats() (count uint64, nanos int64) {
 func (s *Sampler) pickAvailable(k int) int {
 	off := int(s.slotOff[k])
 	slots := s.slots[off:s.slotOff[k+1]]
-	r := s.inner.Rand()
+	r := s.rng
 	avail := int(s.availCount[k])
 	if avail*4 >= len(slots) {
 		for tries := 0; tries < 16; tries++ {
@@ -696,6 +740,13 @@ type DrawTerm struct {
 	Weight  float64 `json:"w"`
 }
 
+// isTermOf reports whether t can be a draw of pair: it names the pair's own
+// stratum with a finite positive weight. Journaled commits and snapshotted
+// proposals are checked with it before they are applied.
+func (s *Sampler) isTermOf(pair int, t DrawTerm) bool {
+	return t.Stratum == s.str.StratumOf(pair) && t.Weight > 0 && t.Weight <= math.MaxFloat64
+}
+
 // CommitLabelTerms is CommitLabel, additionally returning the weighted terms
 // folded into the estimator: the frozen draw that proposed the pair plus any
 // re-draws queued while the label was in flight, in application order. A
@@ -716,19 +767,16 @@ func (s *Sampler) commitLabel(pair int, label bool, wantTerms bool) ([]DrawTerm,
 	}
 	entry, extra := s.removePending(pair)
 	s.markLabelled(pair, label) // was pending: availability unchanged
-	s.inner.Commit(entry.draw(), label)
-	for _, d := range extra {
-		s.inner.Commit(d, label)
+	s.fold(pair, int(entry.stratum), entry.weight, label)
+	for _, t := range extra {
+		s.fold(pair, t.Stratum, t.Weight, label)
 	}
 	if !wantTerms {
 		return nil, nil
 	}
 	terms := make([]DrawTerm, 0, 1+len(extra))
 	terms = append(terms, DrawTerm{Stratum: int(entry.stratum), Weight: entry.weight})
-	for _, d := range extra {
-		terms = append(terms, DrawTerm{Stratum: d.Stratum, Weight: d.Weight})
-	}
-	return terms, nil
+	return append(terms, extra...), nil
 }
 
 // ReplayCommit applies one journaled commit during write-ahead-log recovery.
@@ -737,7 +785,8 @@ func (s *Sampler) commitLabel(pair int, label bool, wantTerms bool) ([]DrawTerm,
 // the replayed draws match the journaled terms; when the proposal was folded
 // into a compaction snapshot — the pair is merely available — the journaled
 // terms are applied directly, reproducing the live commit bit-for-bit.
-// Already-labelled pairs are idempotent no-ops.
+// Already-labelled pairs are idempotent no-ops. Every term must name the
+// pair's stratum with a finite positive weight, as the live commit's did.
 func (s *Sampler) ReplayCommit(pair int, label bool, terms []DrawTerm) error {
 	if pair < 0 || pair >= s.str.N() {
 		return fmt.Errorf("oasis: replay commit for pair %d outside pool of %d", pair, s.str.N())
@@ -748,9 +797,9 @@ func (s *Sampler) ReplayCommit(pair int, label bool, terms []DrawTerm) error {
 	if len(terms) == 0 {
 		return fmt.Errorf("oasis: replay commit for pair %d carries no draw terms", pair)
 	}
-	for _, dt := range terms {
-		if dt.Stratum < 0 || dt.Stratum >= s.K() || !(dt.Weight > 0) || math.IsInf(dt.Weight, 0) {
-			return fmt.Errorf("oasis: replay commit for pair %d has invalid term %+v", pair, dt)
+	for _, t := range terms {
+		if !s.isTermOf(pair, t) {
+			return fmt.Errorf("oasis: replay commit for pair %d has invalid term %+v", pair, t)
 		}
 	}
 	if s.pairState(pair) >= 0 {
@@ -770,11 +819,11 @@ func (s *Sampler) ReplayCommit(pair int, label bool, terms []DrawTerm) error {
 	}
 	// The proposal predates the snapshot this sampler was restored from, so
 	// its pending entry is gone; the journaled terms carry the frozen weights.
-	for _, dt := range terms {
-		s.inner.Commit(sampler.Draw{Pair: pair, Stratum: dt.Stratum, Weight: dt.Weight}, label)
+	for _, t := range terms {
+		s.fold(pair, t.Stratum, t.Weight, label)
 	}
 	s.markLabelled(pair, label)
-	s.availCount[s.str.StratumOf(pair)]--
+	s.availCount[terms[0].Stratum]--
 	s.availTotal--
 	s.maskDirty = true
 	return nil
@@ -823,12 +872,12 @@ func (s *Sampler) CommittedLabels() map[int]bool {
 
 // PosteriorMean returns the current per-stratum match-probability estimates
 // π̂(t) (Eqn. 11) as a fresh slice.
-func (s *Sampler) PosteriorMean() []float64 { return s.inner.PosteriorMean(nil) }
+func (s *Sampler) PosteriorMean() []float64 { return s.posteriorMean(nil) }
 
 // Instrumental returns the current stratum distribution v(t) that the next
 // draw follows (Eqn. 12) as a fresh slice.
 func (s *Sampler) Instrumental() []float64 {
-	return append([]float64(nil), s.inner.InstrumentalCached()...)
+	return append([]float64(nil), s.instrumental()...)
 }
 
 // PendingDraw is one outstanding proposal in a SamplerState: the pair, the
@@ -850,20 +899,21 @@ type PendingDraw struct {
 // on (tail events replay against the snapshot bit-for-bit). Restore a state
 // only onto a Sampler built from the same pool with the same Options.
 type SamplerState struct {
-	Core    *core.State   `json:"core"`
+	// Core is the model: Beta posteriors, initial estimates, estimator sums
+	// and the random stream.
+	Core    *modelState   `json:"core"`
 	Labels  map[int]bool  `json:"labels,omitempty"`
 	Pending []PendingDraw `json:"pending,omitempty"`
 }
 
 // State captures the sampler's mutable state for persistence.
 func (s *Sampler) State() *SamplerState {
-	st := &SamplerState{Core: s.inner.State(), Labels: s.CommittedLabels()}
+	st := &SamplerState{Core: s.modelSnapshot(), Labels: s.CommittedLabels()}
 	for _, e := range s.pendingSlab {
-		pd := PendingDraw{Pair: int(e.pair), Stratum: int(e.stratum), Weight: e.weight}
-		for _, d := range s.extraDraws[int(e.pair)] {
-			pd.Extra = append(pd.Extra, DrawTerm{Stratum: d.Stratum, Weight: d.Weight})
-		}
-		st.Pending = append(st.Pending, pd)
+		st.Pending = append(st.Pending, PendingDraw{
+			Pair: int(e.pair), Stratum: int(e.stratum), Weight: e.weight,
+			Extra: append([]DrawTerm(nil), s.extraDraws[int(e.pair)]...),
+		})
 	}
 	return st
 }
@@ -892,31 +942,26 @@ func (s *Sampler) RestoreState(st *SamplerState) error {
 			return fmt.Errorf("oasis: snapshot proposal for pair %d clashes with its label state", p.Pair)
 		}
 		seen[p.Pair] = true
-		k := s.str.StratumOf(p.Pair)
-		if p.Stratum != k || !(p.Weight > 0) || math.IsInf(p.Weight, 0) {
+		if !s.isTermOf(p.Pair, DrawTerm{Stratum: p.Stratum, Weight: p.Weight}) {
 			return fmt.Errorf("oasis: snapshot proposal for pair %d has invalid draw {k:%d w:%v}", p.Pair, p.Stratum, p.Weight)
 		}
 		for _, e := range p.Extra {
-			if e.Stratum != k || !(e.Weight > 0) || math.IsInf(e.Weight, 0) {
+			if !s.isTermOf(p.Pair, e) {
 				return fmt.Errorf("oasis: snapshot proposal for pair %d has invalid re-draw %+v", p.Pair, e)
 			}
 		}
 	}
-	if err := s.inner.Restore(st.Core); err != nil {
+	if err := s.restoreModel(st.Core); err != nil {
 		return err
 	}
-	// Rebuild the label store and the proposability accounting and
-	// invalidate the masked sampler; the core restore already invalidated
-	// the cached v(t). All of it is derived from (labels, pending), so the
-	// restored sampler proposes exactly what the snapshotted one would have.
+	// Rebuild the label store and the proposability accounting, which are
+	// derived from (labels, pending), so the restored sampler proposes
+	// exactly what the snapshotted one would have.
 	s.resetAvailability(st.Labels)
 	for _, p := range st.Pending {
 		s.propose(int(s.posOfPair[p.Pair]), p.Stratum, p.Weight)
 		for _, e := range p.Extra {
-			if s.extraDraws == nil {
-				s.extraDraws = make(map[int][]sampler.Draw)
-			}
-			s.extraDraws[p.Pair] = append(s.extraDraws[p.Pair], sampler.Draw{Pair: p.Pair, Stratum: e.Stratum, Weight: e.Weight})
+			s.queueExtra(p.Pair, e)
 		}
 	}
 	return nil

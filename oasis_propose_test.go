@@ -301,3 +301,46 @@ func TestUniformConfigurationIsPassive(t *testing.T) {
 		})
 	}
 }
+
+// TestReplayCommitValidatesTerms: a journaled commit whose proposal was
+// folded into a snapshot reaches ReplayCommit with the pair merely
+// available, so the journal's terms are all there is to check. A term is
+// refused unless it names the pair's own stratum with a finite positive
+// weight, and a refused replay leaves the sampler untouched.
+func TestReplayCommitValidatesTerms(t *testing.T) {
+	opts := oasis.Options{Strata: 10, Seed: 5}
+	live, truth := mustSampler(t, 2000, opts)
+	pairs, err := live.ProposeBatch(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, k := pairs[0], live.State().Pending[0].Stratum
+	terms, err := live.CommitLabelTerms(pair, truth[pair])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	replayed, _ := mustSampler(t, 2000, opts)
+	other := (k + 1) % replayed.K()
+	for _, bad := range [][]oasis.DrawTerm{
+		{{Stratum: other, Weight: terms[0].Weight}},
+		{terms[0], {Stratum: other, Weight: 1}},
+		{{Stratum: k, Weight: 0}},
+		{{Stratum: k, Weight: math.Inf(1)}},
+		{{Stratum: k, Weight: math.NaN()}},
+		{{Stratum: -1, Weight: 1}},
+	} {
+		if err := replayed.ReplayCommit(pair, truth[pair], bad); err == nil {
+			t.Fatalf("replay of pair %d (stratum %d) accepted terms %+v", pair, k, bad)
+		}
+		if h := replayed.Health(); h.Terms != 0 || replayed.LabelsCommitted() != 0 {
+			t.Fatalf("refused replay %+v left %d terms and %d labels", bad, h.Terms, replayed.LabelsCommitted())
+		}
+	}
+	if err := replayed.ReplayCommit(pair, truth[pair], terms); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := math.Float64bits(replayed.Estimate()), math.Float64bits(live.Estimate()); got != want {
+		t.Fatalf("replayed estimate bits %#x, live %#x", got, want)
+	}
+}

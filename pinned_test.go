@@ -11,6 +11,8 @@ package oasis_test
 
 import (
 	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"hash"
 	"hash/fnv"
 	"math"
@@ -38,20 +40,23 @@ func pinnedPool(t *testing.T) (*oasis.Pool, []bool) {
 	return p, truth
 }
 
-// proposeTrace drives 300 rounds of ProposeBatch(16) + CommitLabel, releasing
-// the first proposal of every 7th round instead of labelling it, and returns
-// the hash of every proposal with the bits of the final estimate.
-func proposeTrace(t *testing.T, p *oasis.Pool, truth []bool, opts oasis.Options) (uint64, uint64) {
+// proposeRounds drives rounds of ProposeBatch(16) + CommitLabel, releasing
+// the first proposal of every 7th round instead of labelling it, and hashes
+// every proposal into h. With rounds < 0 it runs until the pool is labelled.
+// outstanding, when not nil, is called after each round's proposals and
+// before its labels.
+func proposeRounds(t *testing.T, s *oasis.Sampler, truth []bool, rounds int, h hash.Hash64, outstanding func(round int)) {
 	t.Helper()
-	s, err := oasis.NewSampler(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := fnv.New64a()
-	for round := 0; round < 300; round++ {
+	for round := 0; rounds < 0 || round < rounds; round++ {
 		batch, err := s.ProposeBatch(16)
-		if err != nil {
+		if err != nil && (rounds >= 0 || !errors.Is(err, oasis.ErrExhausted)) {
 			t.Fatalf("round %d: %v", round, err)
+		}
+		if len(batch) == 0 {
+			return // exhausted, and every round ends with nothing outstanding
+		}
+		if outstanding != nil {
+			outstanding(round)
 		}
 		for i, pair := range batch {
 			writePair(h, pair)
@@ -66,7 +71,32 @@ func proposeTrace(t *testing.T, p *oasis.Pool, truth []bool, opts oasis.Options)
 			}
 		}
 	}
+}
+
+// proposeTrace runs 300 rounds of proposeRounds on a fresh sampler and
+// returns the hash of every proposal with the bits of the final estimate.
+func proposeTrace(t *testing.T, p *oasis.Pool, truth []bool, opts oasis.Options) (uint64, uint64) {
+	t.Helper()
+	s, err := oasis.NewSampler(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	proposeRounds(t, s, truth, 300, h, nil)
 	return h.Sum64(), math.Float64bits(s.Estimate())
+}
+
+// stateHash is the FNV-1a hash of the sampler's JSON snapshot, the bytes WAL
+// compaction writes.
+func stateHash(t *testing.T, s *oasis.Sampler) uint64 {
+	t.Helper()
+	b, err := json.Marshal(s.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
 }
 
 func TestPinnedSequences(t *testing.T) {
@@ -88,6 +118,39 @@ func TestPinnedSequences(t *testing.T) {
 			}
 		})
 	}
+
+	// None of the runs above leaves the with-replacement draw path. On this
+	// 3,000-pair pool, run until every pair is labelled, ProposeBatch's direct
+	// mode makes 236 of the proposals, the first at label 2,078. Pin them with
+	// the snapshot bytes, taken once with round 150's batch outstanding (16
+	// proposals, one with a queued re-draw) and once at the end.
+	t.Run("direct-mode-exhaustion", func(t *testing.T) {
+		scores, preds, truth, _ := syntheticScores(3000, 4242)
+		p, err := oasis.NewPool(scores, preds, oasis.CalibratedScores)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := oasis.NewSampler(p, oasis.Options{Strata: 30, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var mid uint64
+		proposeRounds(t, s, truth, -1, h, func(round int) {
+			if round == 150 {
+				mid = stateHash(t, s)
+			}
+		})
+		if n := s.LabelsCommitted(); n != len(truth) {
+			t.Fatalf("run ended with %d of %d pairs labelled", n, len(truth))
+		}
+		const wantHash, wantBits, wantMid, wantEnd = 0x36252c87b70c59e1, 0x3fc9f1fd8974845b, 0xbd8a8bf2d75b6d19, 0x16bfb78b3073a39c
+		got, bits, end := h.Sum64(), math.Float64bits(s.Estimate()), stateHash(t, s)
+		if got != wantHash || bits != wantBits || mid != wantMid || end != wantEnd {
+			t.Errorf("proposal hash %#x, estimate bits %#x (%v), state hashes %#x, %#x; pinned %#x, %#x, %#x, %#x",
+				got, bits, s.Estimate(), mid, end, uint64(wantHash), uint64(wantBits), uint64(wantMid), uint64(wantEnd))
+		}
+	})
 
 	// Sampler.Run is the paper's sequential Algorithm 3: pin every oracle
 	// call (a first query of a pair, in order) and the final estimate.

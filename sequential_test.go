@@ -1,8 +1,8 @@
 package oasis
 
 // The served engine against the paper's sequential Algorithm 3. The
-// reference below is the loop the paper describes, built here from the core
-// sampler alone: draw a stratum from v(t), a pair uniformly within it, ask
+// reference below is the loop the paper describes, built here from a
+// second sampler's model alone (draw and commit, model_test.go): draw a stratum from v(t), a pair uniformly within it, ask
 // for the pair's label once and reuse it on every later draw. Driven one
 // proposal at a time, ProposeBatch and CommitLabel must make exactly its
 // draws until proposeStormLimit consecutive draws land on labelled pairs,
@@ -39,21 +39,15 @@ func TestServedLoopIsSequentialUntilStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewSampler(p, opts) // only its core sampler and strata are used
+	seq, err := NewSampler(p, opts) // only its model and strata are used
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := ref.inner
-	draw := func() sampler.Draw {
-		k, w := seq.DrawStratum()
-		members := ref.str.Members(k)
-		return sampler.Draw{Pair: int(members[seq.Rand().Intn(len(members))]), Stratum: k, Weight: w}
-	}
 	same := func(what string, labels int) {
 		t.Helper()
-		if served.inner.Iterations() != seq.Iterations() || math.Float64bits(served.Estimate()) != math.Float64bits(seq.Estimate()) {
+		if served.est.N() != seq.est.N() || math.Float64bits(served.Estimate()) != math.Float64bits(seq.Estimate()) {
 			t.Fatalf("label %d, %s: served %d terms, estimate %v; sequential %d terms, estimate %v",
-				labels, what, served.inner.Iterations(), served.Estimate(), seq.Iterations(), seq.Estimate())
+				labels, what, served.est.N(), served.Estimate(), seq.est.N(), seq.Estimate())
 		}
 	}
 
@@ -64,12 +58,12 @@ func TestServedLoopIsSequentialUntilStorm(t *testing.T) {
 		var d sampler.Draw
 		free := 0
 		for {
-			d = draw()
+			d = draw(seq)
 			label, ok := cache[d.Pair]
 			if !ok {
 				break
 			}
-			seq.Commit(d, label)
+			commit(seq, d, label)
 			if free++; free == proposeStormLimit {
 				break
 			}
@@ -95,7 +89,7 @@ func TestServedLoopIsSequentialUntilStorm(t *testing.T) {
 			t.Fatal(err)
 		}
 		cache[d.Pair] = truth[d.Pair]
-		seq.Commit(d, truth[d.Pair])
+		commit(seq, d, truth[d.Pair])
 		if len(terms) != 1 || terms[0] != (DrawTerm{Stratum: d.Stratum, Weight: d.Weight}) {
 			t.Fatalf("label %d: served terms %+v, sequential draw %+v", labels, terms, d)
 		}
