@@ -34,9 +34,10 @@ bench:
 # (also with 80% of the pool labelled), the HTTP propose/labels round trip, the
 # WAL durability tax, the parallel commit throughput of the sharded manager
 # + WAL lanes, the inline vs content-addressed (pool store) session-create
-# cost over a 1M-pair pool (including the warm zero-copy path), and the
-# cold pool load (mmap vs streaming decode).
-HOT_BENCH = BenchmarkDraw$$|BenchmarkDrawCommit$$|BenchmarkInstrumental$$|BenchmarkProposeBatch|BenchmarkProposeCommit$$|BenchmarkProposeNearExhaustion|BenchmarkServerPropose$$|BenchmarkCommitDurable|BenchmarkManagerParallel|BenchmarkServerProposeParallel|BenchmarkSessionCreate|BenchmarkPoolAcquire
+# cost over a 1M-pair pool (cold and warm), the stratification of a 1M-pair
+# pool (calibrated and uncalibrated), and the cold pool load (mmap vs
+# streaming decode).
+HOT_BENCH = BenchmarkDraw$$|BenchmarkDrawCommit$$|BenchmarkInstrumental$$|BenchmarkStratify$$|BenchmarkProposeBatch|BenchmarkProposeCommit$$|BenchmarkProposeNearExhaustion|BenchmarkServerPropose$$|BenchmarkCommitDurable|BenchmarkManagerParallel|BenchmarkServerProposeParallel|BenchmarkSessionCreate|BenchmarkPoolAcquire
 HOT_BENCH_PKGS = ./internal/server ./internal/wal ./internal/poolstore .
 
 # Run the hot-path microbenchmarks and append the results to the

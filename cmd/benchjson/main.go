@@ -6,8 +6,10 @@
 //
 // The output file holds a list of runs; each run records the label, the
 // platform, the host's CPU count and GOMAXPROCS, the timestamp and every
-// parsed benchmark line (iterations, ns/op, and — with -benchmem — B/op and
-// allocs/op). `go test` appends "-N" to a benchmark's name when it runs
+// parsed benchmark line: iterations, ns/op, B/op and allocs/op (with
+// -benchmem), and any other unit the line reports (MB/s, or a custom
+// b.ReportMetric unit such as walB/op), wherever in the line each appears.
+// `go test` appends "-N" to a benchmark's name when it runs
 // with GOMAXPROCS N > 1; benchjson drops the suffix that matches its own
 // GOMAXPROCS, so a benchmark keeps one name across hosts. Run both
 // processes in one environment, as `make bench-json` does. An existing file is
@@ -38,6 +40,8 @@ type Benchmark struct {
 	NsPerOp    float64 `json:"ns_per_op"`
 	BytesPerOp float64 `json:"bytes_per_op,omitempty"`
 	AllocsOp   *int64  `json:"allocs_per_op,omitempty"`
+	// Metrics holds the line's other units (MB/s, custom metrics) by unit.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Run is one invocation of the benchmark suite.
@@ -58,10 +62,12 @@ type File struct {
 	Runs   []Run `json:"runs"`
 }
 
-// benchLine matches e.g.
+// benchLine matches a result line up to ns/op and captures the "value unit"
+// pairs after it, e.g.
 //
 //	BenchmarkDraw-8   12345678   95.31 ns/op   0 B/op   0 allocs/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op\s+(\d+) allocs/op)?`)
+//	BenchmarkPoolAcquire/mmap-2   3   3047729 ns/op   2795.43 MB/s   1049312 B/op   9 allocs/op
+var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([0-9.]+) ns/op((?:\s+-?[0-9.]+ \S+)*)`)
 
 func main() {
 	out := flag.String("out", "BENCH_core.json", "trajectory file to append the run to")
@@ -110,10 +116,21 @@ func parseBenchmarks(r io.Reader, echo io.Writer, procs int) ([]Benchmark, error
 		if procs > 1 {
 			bench.Name = strings.TrimSuffix(bench.Name, suffix)
 		}
-		if m[4] != "" {
-			bench.BytesPerOp, _ = strconv.ParseFloat(m[4], 64)
-			allocs, _ := strconv.ParseInt(m[5], 10, 64)
-			bench.AllocsOp = &allocs
+		fields := strings.Fields(m[4])
+		for j := 0; j+1 < len(fields); j += 2 {
+			v, _ := strconv.ParseFloat(fields[j], 64)
+			switch unit := fields[j+1]; unit {
+			case "B/op":
+				bench.BytesPerOp = v
+			case "allocs/op":
+				allocs := int64(v)
+				bench.AllocsOp = &allocs
+			default:
+				if bench.Metrics == nil {
+					bench.Metrics = make(map[string]float64)
+				}
+				bench.Metrics[unit] = v
+			}
 		}
 		out = append(out, bench)
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -100,5 +101,72 @@ func TestAppendRunKeepsEarlierRuns(t *testing.T) {
 	}
 	if err := appendRun(path, cur); err == nil {
 		t.Error("appended to a file that is not a trajectory")
+	}
+}
+
+// TestParseBenchmarksKeepsEveryUnit parses the line shapes of benchmarks
+// that report a metric of their own before the -benchmem columns: B/op and
+// allocs/op are kept wherever they sit in the line, and every other unit
+// lands in Metrics.
+func TestParseBenchmarksKeepsEveryUnit(t *testing.T) {
+	const lines = "BenchmarkSessionCreate/inline-2         \t       1\t 245551348 ns/op\t  26662632 walB/op\t146752600 B/op\t     113 allocs/op\n" +
+		"BenchmarkPoolAcquire/mmap-2         \t       3\t   3047729 ns/op\t2795.43 MB/s\t 1049312 B/op\t       9 allocs/op\n"
+	got, err := parseBenchmarks(strings.NewReader(lines), io.Discard, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Benchmark{
+		{Name: "BenchmarkSessionCreate/inline", Iterations: 1, NsPerOp: 245551348, BytesPerOp: 146752600,
+			Metrics: map[string]float64{"walB/op": 26662632}},
+		{Name: "BenchmarkPoolAcquire/mmap", Iterations: 3, NsPerOp: 3047729, BytesPerOp: 1049312,
+			Metrics: map[string]float64{"MB/s": 2795.43}},
+	}
+	allocs := []int64{113, 9}
+	if len(got) != len(want) {
+		t.Fatalf("parsed %d benchmarks, want %d: %+v", len(got), len(want), got)
+	}
+	for i, w := range want {
+		b := got[i]
+		if b.Name != w.Name || b.Iterations != w.Iterations || b.NsPerOp != w.NsPerOp || b.BytesPerOp != w.BytesPerOp ||
+			!maps.Equal(b.Metrics, w.Metrics) {
+			t.Errorf("line %d: %+v, want %+v", i, b, w)
+		}
+		if b.AllocsOp == nil || *b.AllocsOp != allocs[i] {
+			t.Errorf("line %d: allocs %v, want %d", i, b.AllocsOp, allocs[i])
+		}
+	}
+}
+
+// TestRewriteKeepsLedgerBytes appends a run to a copy of the repository's
+// ledger: every earlier run must come back byte for byte, so a field the
+// parser gained never rewrites the runs recorded before it.
+func TestRewriteKeepsLedgerBytes(t *testing.T) {
+	ledger, err := os.ReadFile("../../BENCH_core.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	if err := os.WriteFile(path, ledger, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := Run{Label: "new", Benchmarks: []Benchmark{{Name: "BenchmarkX", Iterations: 1, NsPerOp: 2, Metrics: map[string]float64{"MB/s": 3}}}}
+	if err := appendRun(path, run); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file File
+	if err := json.Unmarshal(data, &file); err != nil {
+		t.Fatal(err)
+	}
+	file.Runs = file.Runs[:len(file.Runs)-1]
+	old, err := json.MarshalIndent(file, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(append(old, '\n')) != string(ledger) {
+		t.Error("rewriting the ledger changed the bytes of its earlier runs")
 	}
 }

@@ -133,18 +133,21 @@
 // pool verifies the full SHA-256 content address, finiteness and padding,
 // while warm reacquires after eviction recheck only the per-section CRCs.
 // Stratification is cached in the store entry under the same refcount, so
-// concurrent sessions over one pool share the strata instead of re-sorting
-// a million scores each (BenchmarkSessionCreate/poolref-warm measures the
-// steady-state create). The strata are one layout, an int32 permutation of
-// the pool in stratum order and its inverse (8 bytes per pair), which every
-// sampler over the pool reads in place. The -pool-mem-budget flag bounds resident bytes
-// (heap columns + mappings + cached strata) with an LRU sweep of
+// concurrent sessions over one pool share the strata instead of
+// re-stratifying a million scores each (BenchmarkSessionCreate/poolref
+// measures the cold create, which loads and stratifies the pool, and
+// poolref-warm the steady-state one). The strata are one layout, an int32
+// permutation of the pool in stratum order and its inverse (8 bytes per
+// pair), which every sampler over the pool reads in place. The
+// -pool-mem-budget flag bounds resident bytes (heap columns + mappings +
+// cached strata) with an LRU sweep of
 // unreferenced pools; referenced pools are pinned, evictions are counted by
 // reason in /metrics, and the README's "Memory & zero-copy" section has the
 // full platform matrix and gauge guide.
 //
 // The hot-path microbenchmarks live in the package root (BenchmarkDraw,
 // BenchmarkDrawCommit, BenchmarkInstrumental,
+// BenchmarkStratify/{calibrated,uncalibrated},
 // BenchmarkProposeBatch/{n=1,64,1024}, BenchmarkProposeCommit,
 // BenchmarkProposeNearExhaustion),
 // internal/server (BenchmarkServerPropose), internal/wal

@@ -176,8 +176,8 @@ func assemble(name string, feat *Featurizer, cfg Config, r *rng.RNG, totalPairs 
 			truth[i] = 1
 		}
 	}
-	p := buildPool(name, model, feats, truth, threshold)
-	if err := p.Validate(); err != nil {
+	p, err := buildPool(name, model, feats, truth, threshold)
+	if err != nil {
 		return nil, err
 	}
 	return &Result{Pool: p, Model: model, Featurizer: feat}, nil
@@ -225,8 +225,8 @@ func BuildPointsPool(ds *dataset.PointsDataset, cfg Config) (*Result, error) {
 			truth[i] = 1
 		}
 	}
-	p := buildPool(ds.Name, model, feats, truth, 0)
-	if err := p.Validate(); err != nil {
+	p, err := buildPool(ds.Name, model, feats, truth, 0)
+	if err != nil {
 		return nil, err
 	}
 	return &Result{Pool: p, Model: model, Featurizer: nil}, nil

@@ -335,10 +335,11 @@ func calibrate(m classifier.Model, X [][]float64, y []bool) (classifier.Model, e
 	return cal, nil
 }
 
-// buildPool scores the chosen pairs and assembles the pool. threshold is
-// the tuned decision threshold in raw-score space, recorded for the
-// logistic probability mapping of uncalibrated pools.
-func buildPool(name string, model classifier.Model, feats [][]float64, truth []float64, threshold float64) *pool.Pool {
+// buildPool scores the chosen pairs and assembles and validates the pool:
+// the one check a built pool gets, since the stratifiers trust their input.
+// threshold is the tuned decision threshold in raw-score space, recorded for
+// the logistic probability mapping of uncalibrated pools.
+func buildPool(name string, model classifier.Model, feats [][]float64, truth []float64, threshold float64) (*pool.Pool, error) {
 	n := len(feats)
 	p := &pool.Pool{
 		Name:          name,
@@ -352,7 +353,10 @@ func buildPool(name string, model classifier.Model, feats [][]float64, truth []f
 		p.Scores[i] = model.Score(x)
 		p.Preds[i] = model.Predict(x)
 	}
-	return p
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // splitTrainCal splits training data for optional calibration.

@@ -25,7 +25,9 @@ type Pool struct {
 	Scores []float64
 	// Preds holds the predicted label of each pair.
 	Preds []bool
-	// TruthProb holds the oracle probability p(1|z) of each pair.
+	// TruthProb holds the oracle probability p(1|z) of each pair, or is nil
+	// for a pool without ground truth (every pool the service evaluates).
+	// The population measures below need it.
 	TruthProb []float64
 	// Probabilistic records whether Scores are (approximately) calibrated
 	// probabilities in [0, 1] (Definition 3). Uncalibrated scores are mapped
@@ -40,13 +42,14 @@ type Pool struct {
 // ErrEmptyPool is returned for pools with no pairs.
 var ErrEmptyPool = errors.New("pool: empty pool")
 
-// Validate checks internal consistency.
+// Validate checks internal consistency. A pool is validated once, where it
+// enters the program; the stratifiers trust what they get.
 func (p *Pool) Validate() error {
 	n := len(p.Scores)
 	if n == 0 {
 		return ErrEmptyPool
 	}
-	if len(p.Preds) != n || len(p.TruthProb) != n {
+	if len(p.Preds) != n || (p.TruthProb != nil && len(p.TruthProb) != n) {
 		return fmt.Errorf("pool: length mismatch: scores=%d preds=%d truth=%d",
 			n, len(p.Preds), len(p.TruthProb))
 	}
@@ -127,28 +130,38 @@ func (p *Pool) TruePrecision() float64 { return p.TrueFMeasure(1) }
 // TrueRecall returns the population recall (α = 0).
 func (p *Pool) TrueRecall() float64 { return p.TrueFMeasure(0) }
 
-// ProbScore returns the score of pair i mapped to a probability in [0, 1]:
-// the raw score if the pool is calibrated (clamped), otherwise the logistic
-// transform sigmoid(score − τ) of Algorithm 2.
+// ProbScore returns the score of pair i mapped to a probability in [0, 1]
+// (Algorithm 2): CalibratedProb if the pool is calibrated, otherwise
+// UncalibratedProb around the pool's threshold.
 func (p *Pool) ProbScore(i int) float64 {
-	s := p.Scores[i]
 	if p.Probabilistic {
-		if s < 0 {
-			return 0
-		}
-		if s > 1 {
-			return 1
-		}
-		return s
+		return CalibratedProb(p.Scores[i])
 	}
-	return sigmoid(s - p.Threshold)
+	return UncalibratedProb(p.Scores[i], p.Threshold)
 }
 
-func sigmoid(x float64) float64 {
-	if x >= 0 {
-		z := math.Exp(-x)
-		return 1 / (1 + z)
+// CalibratedProb maps a calibrated score to a probability: the score itself,
+// clamped to [0, 1].
+func CalibratedProb(s float64) float64 {
+	if s < 0 {
+		return 0
 	}
-	z := math.Exp(x)
-	return z / (1 + z)
+	if s > 1 {
+		return 1
+	}
+	return s
+}
+
+// UncalibratedProb maps an uncalibrated score to a probability with the
+// logistic transform sigmoid(s − τ). It has the bits of the two-sided form
+// (x ≥ 0: 1/(1+e^−x); x < 0: e^x/(1+e^x), with x = s − τ) without its
+// branch on the sign of x, which a pass over a pool mispredicts: both sides
+// divide by 1 + z with z = e^−|x|, and the sign bit picks the numerator, 1
+// or z (at x = −0, z = 1, so either gives ½).
+func UncalibratedProb(s, tau float64) float64 {
+	x := s - tau
+	z := math.Exp(-math.Abs(x))
+	neg := uint64(int64(math.Float64bits(x)) >> 63)
+	num := math.Float64frombits(math.Float64bits(z)&neg | math.Float64bits(1)&^neg)
+	return num / (1 + z)
 }

@@ -2,6 +2,7 @@ package pool
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -38,6 +39,16 @@ func TestValidate(t *testing.T) {
 	badProb.TruthProb[0] = 1.5
 	if err := badProb.Validate(); err == nil {
 		t.Error("expected probability range error")
+	}
+	noTruth := tinyPool()
+	noTruth.TruthProb = nil
+	if err := noTruth.Validate(); err != nil {
+		t.Errorf("a pool without ground truth was refused: %v", err)
+	}
+	shortTruth := tinyPool()
+	shortTruth.TruthProb = shortTruth.TruthProb[:3]
+	if err := shortTruth.Validate(); err == nil {
+		t.Error("expected ground-truth length-mismatch error")
 	}
 }
 
@@ -126,6 +137,34 @@ func TestProbScoreCalibrated(t *testing.T) {
 	p.Scores[0] = -0.2
 	if got := p.ProbScore(0); got != 0 {
 		t.Errorf("clamp low = %v", got)
+	}
+}
+
+// TestUncalibratedProbMatchesTwoSidedForm holds the branch-free logistic
+// to the bits of the two-sided form it replaced, on both signs, at ±0 and
+// ±Inf, at the extremes of exp and on random arguments.
+func TestUncalibratedProbMatchesTwoSidedForm(t *testing.T) {
+	twoSided := func(x float64) float64 {
+		if x >= 0 {
+			z := math.Exp(-x)
+			return 1 / (1 + z)
+		}
+		z := math.Exp(x)
+		return z / (1 + z)
+	}
+	xs := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, -0.5, 1e-300, -1e-300, 36, -36, 709, -709, 745, -745, 800, -800,
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64}
+	r := rand.New(rand.NewSource(1))
+	for range 100000 {
+		xs = append(xs, r.NormFloat64()*4, r.NormFloat64()*100, math.Ldexp(r.Float64()-0.5, r.Intn(80)-60))
+	}
+	for _, x := range xs {
+		for _, tau := range []float64{0, 0.5, -2} {
+			want := twoSided(x - tau)
+			if got := UncalibratedProb(x, tau); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("UncalibratedProb(%v, %v) = %v, two-sided form %v", x, tau, got, want)
+			}
+		}
 	}
 }
 

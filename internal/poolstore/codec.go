@@ -150,8 +150,9 @@ func checkPadBits(lastPredsByte byte, n int) error {
 }
 
 // validatePool checks the (scores, preds) columns describe a well-formed
-// pool: equal non-zero lengths and finite scores. Mirrors pool.Validate so a
-// stored pool can never fail basic validation at session-create time.
+// pool: equal non-zero lengths and finite scores. It mirrors pool.Validate:
+// a pool is checked here, where it enters the store, and session creates
+// over it never check it again.
 func validatePool(scores []float64, preds []bool) error {
 	if len(scores) == 0 {
 		return fmt.Errorf("poolstore: empty pool")

@@ -81,22 +81,14 @@ var (
 type Pool struct {
 	// ID is the pool's content address (hex SHA-256 of its encoding).
 	ID string
-	// Scores and Preds are the shared columns, parallel slices.
+	// Scores and Preds are the shared columns, parallel slices. A stored
+	// pool has no ground truth.
 	Scores []float64
 	Preds  []bool
-
-	// truth is a shared all-zero oracle-probability column: the serving path
-	// never reads ground truth, but the pool plumbing requires the column to
-	// exist, and allocating it once per pool instead of once per session is
-	// part of the single-copy contract.
-	truth []float64
 }
 
 // N returns the number of pairs.
 func (p *Pool) N() int { return len(p.Scores) }
-
-// Truth returns the shared all-zero oracle-probability column.
-func (p *Pool) Truth() []float64 { return p.truth }
 
 // entry is the store's record of one pool. pool is nil while the columns
 // are not resident (on-disk only, loaded on demand).
@@ -363,12 +355,13 @@ func readPoolHeader(path string) (pairs int, size int64, err error) {
 func (s *Store) path(id string) string { return filepath.Join(s.dir, id+poolFileSuffix) }
 
 // heapColumnsBytes is the resident heap cost of fully decoded columns:
-// scores (8n) + preds (n) + truth (8n).
-func heapColumnsBytes(n int) int64 { return int64(n) * 17 }
+// scores (8n) + preds (n).
+func heapColumnsBytes(n int) int64 { return int64(n) * 9 }
 
 // mappedColumnsBytes is the resident heap cost of mmap-aliased columns:
-// preds (n) + truth (8n); the scores live in the mapping.
-func mappedColumnsBytes(n int) int64 { return int64(n) * 9 }
+// preds (n); the scores live in the mapping, which residentCost charges
+// separately.
+func mappedColumnsBytes(n int) int64 { return int64(n) }
 
 // Put canonically encodes the pool columns, stores them under their content
 // address, and returns the pool's Info (Info.ID is the content address).
@@ -423,7 +416,7 @@ func (s *Store) putEncoded(encoded []byte, scores []float64, preds []bool, acqui
 		// Already stored — identical content, by construction of the address.
 		// Re-populating the columns costs nothing and saves a disk reload.
 		if e.pool == nil {
-			e.pool = &Pool{ID: id, Scores: scores, Preds: preds, truth: make([]float64, len(scores))}
+			e.pool = &Pool{ID: id, Scores: scores, Preds: preds}
 			e.heapBytes = heapColumnsBytes(len(scores))
 			// The columns are byte-verified against the address by
 			// construction: the encoding was just hashed.
@@ -460,7 +453,7 @@ func (s *Store) putEncoded(encoded []byte, scores []float64, preds []bool, acqui
 	}
 	now := s.now()
 	ent := &entry{
-		pool:      &Pool{ID: id, Scores: scores, Preds: preds, truth: make([]float64, len(scores))},
+		pool:      &Pool{ID: id, Scores: scores, Preds: preds},
 		pairs:     len(scores),
 		bytes:     int64(len(encoded)),
 		heapBytes: heapColumnsBytes(len(scores)),
@@ -693,7 +686,7 @@ func (s *Store) loadMapped(path, id string, verified bool) (_ *Pool, _ *mapping,
 	if err != nil {
 		return nil, nil, fmt.Errorf("poolstore: pool %q: %w", id, err), false
 	}
-	p := &Pool{ID: id, Scores: m.aliasScores(lay), Preds: preds, truth: make([]float64, lay.n)}
+	p := &Pool{ID: id, Scores: m.aliasScores(lay), Preds: preds}
 	return p, m, nil, false
 }
 
@@ -804,7 +797,7 @@ func (s *Store) loadDecode(path, id string, verified bool) (*Pool, error) {
 			return nil, fmt.Errorf("poolstore: pool %q fails content verification: file hashes to %q", id, got)
 		}
 	}
-	return &Pool{ID: id, Scores: scores, Preds: preds, truth: make([]float64, lay.n)}, nil
+	return &Pool{ID: id, Scores: scores, Preds: preds}, nil
 }
 
 // Release returns one reference taken by Acquire. Releasing an unknown or

@@ -96,7 +96,7 @@ func (s *Store) strataLookup(id string, key StrataKey, compute func() (value any
 	}
 	s.mu.Unlock()
 
-	v, cost, err := compute() // slow: O(N log N) — no store-wide lock held
+	v, cost, err := compute() // slow: O(N) passes for CSF, a sort for equal-size — no store-wide lock held
 	if err != nil {
 		return nil, false, err
 	}

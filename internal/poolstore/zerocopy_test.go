@@ -258,6 +258,61 @@ func TestMemBudgetEvictsLRU(t *testing.T) {
 	}
 }
 
+// TestResidentBytesChargesHeldColumns holds the memory budget's accounting
+// to what the store holds: a put pool costs its 8 B score and 1 B
+// prediction per pair, a mapped one its mapping and 1 B per pair of
+// predictions, each plus its cached strata. A stored pool has no ground
+// truth, so no column is charged for one.
+func TestResidentBytesChargesHeldColumns(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, strataBytes = 1000, 8*1000 + 64
+	scores, preds := testColumns(n, 8)
+	info, _, err := s.Put(scores, preds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := info.ID
+	cacheStrata := func() {
+		t.Helper()
+		if _, err := s.Strata(id, StrataKey{K: 30, Calibrated: true}, func() (any, int64, error) {
+			return "strata", strataBytes, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Acquire(id); err != nil {
+		t.Fatal(err)
+	}
+	cacheStrata()
+	if got, want := s.Stats().ResidentBytes, int64(9*n+strataBytes); got != want {
+		t.Fatalf("after Put: resident %d B, want %d (9 B per pair plus the strata)", got, want)
+	}
+
+	s.Release(id)
+	if s.Sweep(0) != 1 {
+		t.Fatal("the pool was not evicted")
+	}
+	if _, err := s.Acquire(id); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Release(id)
+	cacheStrata()
+	st := s.Stats()
+	want := int64(9*n + strataBytes) // the streaming decode's heap columns
+	if mmapSupported {
+		if st.Mapped != 1 {
+			t.Fatalf("cold load did not map the pool: %+v", st)
+		}
+		want = st.MmapBytes + n + strataBytes
+	}
+	if st.ResidentBytes != want {
+		t.Fatalf("after a cold load: resident %d B, want %d (mapped %d B)", st.ResidentBytes, want, st.MmapBytes)
+	}
+}
+
 // TestStrataCache exercises the per-pool stratification memo: one compute
 // for racing callers, hits afterwards, dropped with the columns on eviction.
 func TestStrataCache(t *testing.T) {

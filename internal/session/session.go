@@ -230,11 +230,12 @@ func checkMethod(m MethodKind) error {
 }
 
 // newOASISSampler builds the session's OASIS sampler. For a store-resolved
-// pool the O(N log N) stratification is memoised in the pool store under the
-// session's pool reference, so N sessions over one pool stratify once; the
-// cached stratification is bit-identical to a fresh one (it is a pure
-// function of the immutable columns and the key below), so sampling
-// sequences do not change. Inline pools stratify privately as before.
+// pool the stratification (a few linear passes for CSF, a sort for
+// equal-size strata) is memoised in the pool store under the session's pool
+// reference, so N sessions over one pool stratify once; the cached
+// stratification is bit-identical to a fresh one (it is a pure function of
+// the immutable columns and the key below), so sampling sequences do not
+// change. Inline pools stratify privately as before.
 //
 // The cache key must carry every input the stratification reads: the
 // stratifier rule and its K/bins (post-clamp — the caller already clamped
@@ -287,11 +288,11 @@ func resolvePool(ctx context.Context, cfg Config, pools *poolstore.Store) (p *oa
 		}
 		// Alias the store's columns instead of copying them: the per-session
 		// pool struct is a handful of slice headers over the one shared copy.
-		// Calibration kind and threshold stay per-session.
+		// Calibration kind and threshold stay per-session. The store checked
+		// the columns when it took or loaded them, so nothing re-validates.
 		inner := &pool.Pool{
 			Scores:        shared.Scores,
 			Preds:         shared.Preds,
-			TruthProb:     shared.Truth(),
 			Probabilistic: kind == oasis.CalibratedScores,
 			Threshold:     cfg.Threshold,
 		}

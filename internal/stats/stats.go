@@ -121,13 +121,17 @@ type Histogram struct {
 
 // NewHistogram builds a histogram of xs with the given number of bins
 // spanning [min(xs), max(xs)]. If all values are equal the single degenerate
-// bin holds everything.
-func NewHistogram(xs []float64, bins int) (*Histogram, error) {
+// bin holds everything. A non-nil binOf (one entry per value) receives each
+// value's bin, BinOf(xs[i]), from the same pass that counts it.
+func NewHistogram(xs []float64, bins int, binOf []int32) (*Histogram, error) {
 	if len(xs) == 0 {
 		return nil, ErrEmpty
 	}
 	if bins <= 0 {
 		return nil, errors.New("stats: histogram needs at least one bin")
+	}
+	if binOf != nil && len(binOf) != len(xs) {
+		return nil, errors.New("stats: histogram bin buffer does not match the values")
 	}
 	lo, hi, err := MinMax(xs)
 	if err != nil {
@@ -137,10 +141,14 @@ func NewHistogram(xs []float64, bins int) (*Histogram, error) {
 	if hi > lo {
 		h.width = (hi - lo) / float64(bins)
 	}
-	for _, x := range xs {
-		h.Counts[h.BinOf(x)]++
-		h.total++
+	for i, x := range xs {
+		b := h.BinOf(x)
+		h.Counts[b]++
+		if binOf != nil {
+			binOf[i] = int32(b)
+		}
 	}
+	h.total = len(xs)
 	return h, nil
 }
 

@@ -84,7 +84,7 @@ func TestOnlineMatchesBatchProperty(t *testing.T) {
 
 func TestHistogram(t *testing.T) {
 	xs := []float64{0, 0.1, 0.2, 0.5, 0.9, 1.0}
-	h, err := NewHistogram(xs, 5)
+	h, err := NewHistogram(xs, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,20 +105,33 @@ func TestHistogram(t *testing.T) {
 	if h.BinOf(-5) != 0 || h.BinOf(99) != 4 {
 		t.Error("out-of-range values must clamp")
 	}
+	// The bins recorded while counting are BinOf's.
+	binOf := make([]int32, len(xs))
+	if _, err := NewHistogram(xs, 5, binOf); err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range xs {
+		if int(binOf[i]) != h.BinOf(x) {
+			t.Errorf("recorded bin %d for %v, BinOf says %d", binOf[i], x, h.BinOf(x))
+		}
+	}
+	if _, err := NewHistogram(xs, 5, binOf[:2]); err == nil {
+		t.Error("a bin buffer shorter than the values was accepted")
+	}
 }
 
 func TestHistogramDegenerate(t *testing.T) {
-	h, err := NewHistogram([]float64{2, 2, 2}, 4)
+	h, err := NewHistogram([]float64{2, 2, 2}, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.Counts[0] != 3 {
 		t.Errorf("degenerate histogram counts %v", h.Counts)
 	}
-	if _, err := NewHistogram(nil, 3); err == nil {
+	if _, err := NewHistogram(nil, 3, nil); err == nil {
 		t.Error("expected error on empty input")
 	}
-	if _, err := NewHistogram([]float64{1}, 0); err == nil {
+	if _, err := NewHistogram([]float64{1}, 0, nil); err == nil {
 		t.Error("expected error on zero bins")
 	}
 }

@@ -73,16 +73,11 @@ func (s *Strata) MemBytes() int64 {
 var ErrNoStrata = errors.New("strata: cannot build strata")
 
 // fromAllocation builds a Strata from an assignment vector (assign[i] is pool
-// item i's stratum in [0, k)) and computes all per-stratum statistics,
-// dropping empty strata (Algorithm 1 line 19). A stable counting sort lays
-// the pool out in stratum order, so each stratum keeps ascending pool-index
-// order. It takes ownership of assign, which is overwritten to become Pos.
+// item i's stratum in [0, k)), refusing an assignment out of range, and lays
+// it out with layout. It takes ownership of assign, which becomes Pos.
 func fromAllocation(p *pool.Pool, assign []int32, k int) (*Strata, error) {
 	if k <= 0 {
 		return nil, ErrNoStrata
-	}
-	if len(assign) > math.MaxInt32 {
-		return nil, fmt.Errorf("strata: pool of %d pairs exceeds the int32 layout", len(assign))
 	}
 	sizes := make([]int32, k)
 	for _, a := range assign {
@@ -91,6 +86,20 @@ func fromAllocation(p *pool.Pool, assign []int32, k int) (*Strata, error) {
 		}
 		sizes[a]++
 	}
+	return layout(p, assign, sizes)
+}
+
+// layout builds a Strata from each pair's stratum (assign[i] in
+// [0, len(sizes))) and the strata's sizes, and computes all per-stratum
+// statistics, dropping empty strata (Algorithm 1 line 19). A stable
+// counting sort lays the pool out in stratum order, so each stratum keeps
+// ascending pool-index order. It takes ownership of assign, which is
+// overwritten to become Pos.
+func layout(p *pool.Pool, assign, sizes []int32) (*Strata, error) {
+	if len(assign) > math.MaxInt32 {
+		return nil, fmt.Errorf("strata: pool of %d pairs exceeds the int32 layout", len(assign))
+	}
+	k := len(sizes)
 	// Number the non-empty strata in order; next[a] is the first free slot
 	// in Perm for items assigned to a.
 	off := make([]int32, 1, k+1)
@@ -105,39 +114,80 @@ func fromAllocation(p *pool.Pool, assign []int32, k int) (*Strata, error) {
 	if kept == 0 {
 		return nil, ErrNoStrata
 	}
+	// One ascending pass over the pool places every pair and adds it to its
+	// stratum's sums. Each stratum's pairs arrive in ascending pool order,
+	// the order of Members, so every sum has the bits of a walk over the
+	// stratum. The calibration test stays out of the per-pair loop, and the
+	// loops do not branch on a pair's prediction or on the sign of its
+	// logistic argument, which pool order does not group the way stratum
+	// order does.
 	perm := make([]int32, len(assign))
-	for i, a := range assign {
-		perm[next[a]] = int32(i)
-		assign[i] = next[a]
-		next[a]++
+	sums := make([]stratumSums, k)
+	scores, preds := p.Scores[:len(assign)], p.Preds[:len(assign)]
+	if p.Probabilistic {
+		for i, a := range assign {
+			pos := next[a]
+			next[a] = pos + 1
+			perm[pos] = int32(i)
+			assign[i] = pos
+			sc := scores[i]
+			acc := &sums[a]
+			acc.score += sc
+			acc.prob += pool.CalibratedProb(sc)
+			acc.preds += b2i(preds[i])
+		}
+	} else {
+		tau := p.Threshold
+		for i, a := range assign {
+			pos := next[a]
+			next[a] = pos + 1
+			perm[pos] = int32(i)
+			assign[i] = pos
+			sc := scores[i]
+			acc := &sums[a]
+			acc.score += sc
+			acc.prob += pool.UncalibratedProb(sc, tau)
+			acc.preds += b2i(preds[i])
+		}
 	}
 	s := &Strata{
 		Perm:          perm,
 		Off:           off,
 		Pos:           assign,
-		Weights:       make([]float64, kept),
-		MeanScore:     make([]float64, kept),
-		MeanProbScore: make([]float64, kept),
-		MeanPred:      make([]float64, kept),
+		Weights:       make([]float64, 0, kept),
+		MeanScore:     make([]float64, 0, kept),
+		MeanProbScore: make([]float64, 0, kept),
+		MeanPred:      make([]float64, 0, kept),
 	}
-	n := float64(p.N())
-	for j := 0; j < kept; j++ {
-		members := s.Members(j)
-		size := float64(len(members))
-		s.Weights[j] = size / n
-		var sumScore, sumProb, sumPred float64
-		for _, i := range members {
-			sumScore += p.Scores[i]
-			sumProb += p.ProbScore(int(i))
-			if p.Preds[i] {
-				sumPred++
-			}
+	n := float64(len(assign))
+	for a, acc := range sums {
+		if sizes[a] == 0 {
+			continue
 		}
-		s.MeanScore[j] = sumScore / size
-		s.MeanProbScore[j] = sumProb / size
-		s.MeanPred[j] = sumPred / size
+		size := float64(sizes[a])
+		s.Weights = append(s.Weights, size/n)
+		s.MeanScore = append(s.MeanScore, acc.score/size)
+		s.MeanProbScore = append(s.MeanProbScore, acc.prob/size)
+		s.MeanPred = append(s.MeanPred, float64(acc.preds)/size)
 	}
 	return s, nil
+}
+
+// stratumSums accumulates one stratum's scores, probability-mapped scores
+// and positive predictions.
+type stratumSums struct {
+	score, prob float64
+	preds       int64
+}
+
+// b2i is 1 for true and 0 for false; the compiler turns it into a
+// zero-extension of the bool, not a branch.
+func b2i(b bool) int64 {
+	var i int64
+	if b {
+		i = 1
+	}
+	return i
 }
 
 // CSF stratifies the pool by similarity score with the Cumulative √F method
@@ -146,10 +196,14 @@ func fromAllocation(p *pool.Pool, assign []int32, k int) (*Strata, error) {
 // scale, and map the cut points back to score-scale bin edges. The number of
 // returned strata may be smaller than targetK (empty strata are removed, and
 // coarse histograms may merge cuts — the algorithm does not guarantee
-// K = K̃).
+// K = K̃). It is linear in the pool: the histogram records each pair's bin
+// as it counts it, the strata's sizes come from the bin counts, and the
+// layout and means take one more pass. The pool must already be valid
+// (pools are validated where they enter the program); only an empty pool is
+// refused here.
 func CSF(p *pool.Pool, targetK, bins int) (*Strata, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
+	if p.N() == 0 {
+		return nil, pool.ErrEmptyPool
 	}
 	if targetK <= 0 {
 		return nil, ErrNoStrata
@@ -157,7 +211,8 @@ func CSF(p *pool.Pool, targetK, bins int) (*Strata, error) {
 	if bins <= 0 {
 		bins = defaultBins(p.N(), targetK)
 	}
-	hist, err := stats.NewHistogram(p.Scores, bins)
+	assign := make([]int32, p.N())
+	hist, err := stats.NewHistogram(p.Scores, bins, assign)
 	if err != nil {
 		return nil, err
 	}
@@ -177,6 +232,7 @@ func CSF(p *pool.Pool, targetK, bins int) (*Strata, error) {
 	// (lines 8–18, expressed as a direct mapping).
 	width := total / float64(targetK)
 	binStratum := make([]int32, hist.Bins())
+	sizes := make([]int32, targetK)
 	for i := range binStratum {
 		k := int(csf[i] / width)
 		if csf[i] > 0 && csf[i]/width == float64(k) {
@@ -190,20 +246,20 @@ func CSF(p *pool.Pool, targetK, bins int) (*Strata, error) {
 			k = 0
 		}
 		binStratum[i] = int32(k)
+		sizes[k] += int32(hist.Counts[i])
 	}
-	assign := make([]int32, p.N())
-	for i, s := range p.Scores {
-		assign[i] = binStratum[hist.BinOf(s)]
+	for i, b := range assign {
+		assign[i] = binStratum[b]
 	}
-	return fromAllocation(p, assign, targetK)
+	return layout(p, assign, sizes)
 }
 
 // EqualSize stratifies the pool into targetK strata of (nearly) equal size by
 // sorting on score and cutting into contiguous rank ranges — the "equal size
 // method" the paper attributes to Druck & McCallum.
 func EqualSize(p *pool.Pool, targetK int) (*Strata, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
+	if p.N() == 0 {
+		return nil, pool.ErrEmptyPool
 	}
 	if targetK <= 0 {
 		return nil, ErrNoStrata
@@ -226,8 +282,9 @@ func EqualSize(p *pool.Pool, targetK int) (*Strata, error) {
 		order[i] = rankedItem{score: p.Scores[i], idx: i}
 	}
 	slices.SortStableFunc(order, func(a, b rankedItem) int {
-		// Scores are validated finite, so '<' is a total order here and the
-		// three-way compare cannot misbehave on NaN.
+		// Scores are finite (checked where the pool entered the program),
+		// so '<' is a total order here and the three-way compare cannot
+		// misbehave on NaN.
 		switch {
 		case a.score < b.score:
 			return -1

@@ -3,11 +3,13 @@ package strata
 import (
 	"math"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"oasis/internal/pool"
 	"oasis/internal/rng"
+	"oasis/internal/stats"
 )
 
 // imbalancedPool builds a pool whose score distribution is heavy-tailed like
@@ -382,5 +384,178 @@ func TestCSFHomogeneityBeatsRandomPartition(t *testing.T) {
 	randVar := intra(randItems)
 	if csfVar*5 > randVar {
 		t.Errorf("CSF intra-stratum variance %v not ≪ random %v", csfVar, randVar)
+	}
+}
+
+// referenceCSF is CSF computed the way it was before the layout pass took
+// the per-stratum sums in pool order: a histogram, a second BinOf per score
+// for the assignment, and the layout and means of referenceLayout.
+func referenceCSF(p *pool.Pool, targetK, bins int) *Strata {
+	if bins <= 0 {
+		bins = defaultBins(p.N(), targetK)
+	}
+	hist, err := stats.NewHistogram(p.Scores, bins, nil)
+	if err != nil {
+		panic(err)
+	}
+	csf := make([]float64, hist.Bins())
+	acc := 0.0
+	for i, c := range hist.Counts {
+		acc += math.Sqrt(float64(c))
+		csf[i] = acc
+	}
+	width := csf[len(csf)-1] / float64(targetK)
+	assign := make([]int32, p.N())
+	for i, s := range p.Scores {
+		b := hist.BinOf(s)
+		k := int(csf[b] / width)
+		if csf[b] > 0 && csf[b]/width == float64(k) {
+			k--
+		}
+		assign[i] = int32(min(max(k, 0), targetK-1))
+	}
+	return referenceLayout(p, assign, targetK)
+}
+
+// referenceEqualSize cuts an index sort of the scores into targetK rank
+// ranges and lays them out with referenceLayout.
+func referenceEqualSize(p *pool.Pool, targetK int) *Strata {
+	n := p.N()
+	targetK = min(targetK, n)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return p.Scores[order[a]] < p.Scores[order[b]] })
+	assign := make([]int32, n)
+	for rank, i := range order {
+		assign[i] = int32(min(rank*targetK/n, targetK-1))
+	}
+	return referenceLayout(p, assign, targetK)
+}
+
+// referenceLayout is the per-stratum walk: a counting sort into stratum
+// order, then each non-empty stratum's means summed over its members in
+// Perm order, with pool.ProbScore for the probability-mapped scores.
+func referenceLayout(p *pool.Pool, assign []int32, k int) *Strata {
+	s := &Strata{Off: []int32{0}, Perm: make([]int32, 0, len(assign)), Pos: make([]int32, len(assign))}
+	for a := int32(0); a < int32(k); a++ {
+		for i, b := range assign {
+			if b == a {
+				s.Pos[i] = int32(len(s.Perm))
+				s.Perm = append(s.Perm, int32(i))
+			}
+		}
+		if int(s.Off[len(s.Off)-1]) < len(s.Perm) {
+			s.Off = append(s.Off, int32(len(s.Perm)))
+		}
+	}
+	n := float64(p.N())
+	for j := 0; j < len(s.Off)-1; j++ {
+		members := s.Perm[s.Off[j]:s.Off[j+1]]
+		size := float64(len(members))
+		var sumScore, sumProb, sumPred float64
+		for _, i := range members {
+			sumScore += p.Scores[i]
+			sumProb += p.ProbScore(int(i))
+			if p.Preds[i] {
+				sumPred++
+			}
+		}
+		s.Weights = append(s.Weights, size/n)
+		s.MeanScore = append(s.MeanScore, sumScore/size)
+		s.MeanProbScore = append(s.MeanProbScore, sumProb/size)
+		s.MeanPred = append(s.MeanPred, sumPred/size)
+	}
+	return s
+}
+
+// sameBits reports whether two float slices hold the same bit patterns.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// TestStrataMatchReference holds CSF and EqualSize to the bits of the
+// per-stratum walk: the layout (Perm, Off, Pos) and the four per-stratum
+// columns, on calibrated pools with scores outside [0, 1] (the clamp) and a
+// negative zero, on uncalibrated pools whose scores straddle the threshold,
+// on a histogram that leaves strata empty (they are dropped) and on ties.
+func TestStrataMatchReference(t *testing.T) {
+	calibrated := imbalancedPool(30011, 21)
+	calibrated.Scores[3], calibrated.Scores[10], calibrated.Scores[99] = -0.25, 1.75, math.Copysign(0, -1)
+
+	r := rng.New(22)
+	uncalibrated := &pool.Pool{Scores: make([]float64, 20011), Preds: make([]bool, 20011), Threshold: 0.5}
+	for i := range uncalibrated.Scores {
+		u := r.Float64()
+		uncalibrated.Scores[i] = 8*u*u - 4
+		uncalibrated.Preds[i] = r.Bernoulli(0.5)
+	}
+	uncalibrated.Scores[7], uncalibrated.Scores[8] = 0.5, math.Copysign(0, -1)
+	atZero := *uncalibrated
+	atZero.Threshold = 0
+
+	// Two dense clusters with a sparse bridge: each cluster's bin jumps the
+	// cumulative √F over several cut points, so those strata get no bin.
+	gappy := &pool.Pool{Scores: make([]float64, 4000), Preds: make([]bool, 4000), Probabilistic: true}
+	for i := range gappy.Scores {
+		switch {
+		case i%100 == 0:
+			gappy.Scores[i] = 0.2 + 0.6*r.Float64()
+		case i%2 == 0:
+			gappy.Scores[i] = 0.1
+		default:
+			gappy.Scores[i] = 0.9
+		}
+		gappy.Preds[i] = gappy.Scores[i] > 0.5
+	}
+
+	// Scores on a coarse grid: EqualSize's rank cuts fall inside ties.
+	tied := imbalancedPool(10007, 23)
+	for i, s := range tied.Scores {
+		tied.Scores[i] = math.Round(s*20) / 20
+	}
+
+	check := func(name string, got *Strata, err error, want *Strata) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !slices.Equal(got.Perm, want.Perm) || !slices.Equal(got.Off, want.Off) || !slices.Equal(got.Pos, want.Pos) {
+			t.Fatalf("%s: layout differs from the reference (K %d vs %d)", name, got.K(), want.K())
+		}
+		for _, c := range []struct {
+			col       string
+			got, want []float64
+		}{
+			{"Weights", got.Weights, want.Weights},
+			{"MeanScore", got.MeanScore, want.MeanScore},
+			{"MeanProbScore", got.MeanProbScore, want.MeanProbScore},
+			{"MeanPred", got.MeanPred, want.MeanPred},
+		} {
+			if !sameBits(c.got, c.want) {
+				t.Fatalf("%s: %s %v, reference %v", name, c.col, c.got, c.want)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		p       *pool.Pool
+		k, bins int
+	}{
+		{"calibrated", calibrated, 30, 0},
+		{"calibrated/coarse", calibrated, 7, 40},
+		{"uncalibrated", uncalibrated, 30, 0},
+		{"uncalibrated/threshold0", &atZero, 12, 500},
+		{"gappy", gappy, 10, 0},
+		{"tied", tied, 30, 0},
+	} {
+		got, err := CSF(c.p, c.k, c.bins)
+		check("CSF/"+c.name, got, err, referenceCSF(c.p, c.k, c.bins))
+		eq, err := EqualSize(c.p, c.k)
+		check("EqualSize/"+c.name, eq, err, referenceEqualSize(c.p, c.k))
+	}
+	if got, err := CSF(gappy, 10, 0); err != nil || got.K() >= 10 {
+		t.Fatalf("gappy pool kept %d of 10 strata (%v); the test needs empty strata", got.K(), err)
 	}
 }

@@ -23,15 +23,22 @@ import (
 // buys on the create path over a 1M-pair pool: the inline variant journals
 // the full columns into the WAL create record (the pre-poolstore behaviour
 // — O(N) JSON per create), the poolref variant stores the pool once and
-// journals only its hash (O(1)). One benchmark op is one durable session
+// journals only its hash (O(1)). poolref is a cold create, the one
+// session-churn's op times: before each create, off the clock, the store
+// evicts the pool's columns and cached strata, so the create loads the pool
+// from disk and stratifies it. One benchmark op is one durable session
 // create; the custom walB/op metric is the WAL bytes the create record
-// cost. Tracked in BENCH_core.json via `make bench-json` (PR5-poolstore).
+// cost. Tracked in BENCH_core.json via `make bench-json`.
 func BenchmarkSessionCreate(b *testing.B) {
 	const pairs = 1 << 20
 	scores, preds, _ := walPool(pairs, 5)
-	run := func(b *testing.B, mgr *session.Manager, j *Journal, cfg session.Config) {
+	// run times b.N creates; evict, if set, runs off the clock before each.
+	run := func(b *testing.B, mgr *session.Manager, j *Journal, cfg session.Config, evict func()) {
 		b.Helper()
 		var walBytes uint64
+		if evict != nil {
+			evict()
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -47,6 +54,9 @@ func BenchmarkSessionCreate(b *testing.B) {
 			if err := mgr.Delete(cfg.ID); err != nil {
 				b.Fatal(err)
 			}
+			if evict != nil {
+				evict()
+			}
 			b.StartTimer()
 		}
 		b.ReportMetric(float64(walBytes)/float64(b.N), "walB/op")
@@ -59,7 +69,7 @@ func BenchmarkSessionCreate(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer j.Close()
-		run(b, mgr, j, session.Config{Scores: scores, Preds: preds, Calibrated: true, Options: opts})
+		run(b, mgr, j, session.Config{Scores: scores, Preds: preds, Calibrated: true, Options: opts}, nil)
 	})
 	b.Run("poolref", func(b *testing.B) {
 		store, err := poolstore.Open(b.TempDir())
@@ -77,13 +87,16 @@ func BenchmarkSessionCreate(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer j.Close()
-		run(b, mgr, j, session.Config{PoolID: id, Calibrated: true, Options: opts})
+		run(b, mgr, j, session.Config{PoolID: id, Calibrated: true, Options: opts}, func() {
+			if store.Sweep(0) != 1 {
+				b.Fatal("the pool was not evicted")
+			}
+		})
 	})
-	// poolref-warm is the steady-state serving case the zero-copy PR targets:
-	// the pool is already resident (or mapped) and its stratification cached
-	// from an earlier session over the same pool, so a create costs only the
-	// sampler initialisation and the O(1) WAL record — no column load, no
-	// O(N log N) stratify, no O(N) validation re-scan.
+	// poolref-warm is the steady-state serving case: the pool is already
+	// resident (or mapped) and its stratification cached from an earlier
+	// session over the same pool, so a create costs only the sampler
+	// initialisation and the O(1) WAL record — no column load, no stratify.
 	b.Run("poolref-warm", func(b *testing.B) {
 		store, err := poolstore.Open(b.TempDir())
 		if err != nil {
@@ -111,7 +124,7 @@ func BenchmarkSessionCreate(b *testing.B) {
 		if err := mgr.Delete(cfg.ID); err != nil {
 			b.Fatal(err)
 		}
-		run(b, mgr, j, cfg)
+		run(b, mgr, j, cfg, nil)
 	})
 }
 

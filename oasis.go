@@ -49,7 +49,6 @@ func NewPoolThreshold(scores []float64, preds []bool, kind ScoreKind, threshold 
 	p := &pool.Pool{
 		Scores:        append([]float64(nil), scores...),
 		Preds:         append([]bool(nil), preds...),
-		TruthProb:     make([]float64, len(scores)),
 		Probabilistic: kind == CalibratedScores,
 		Threshold:     threshold,
 	}
@@ -70,7 +69,8 @@ func (p *Pool) NumPredPositives() int { return p.inner.NumPredPositives() }
 func (p *Pool) Internal() *pool.Pool { return p.inner }
 
 // WrapPool adapts an internal pool (e.g. one built by erbench) to the public
-// Pool type.
+// Pool type. The pool must already be valid (pool.Validate): nothing
+// downstream checks it again.
 func WrapPool(inner *pool.Pool) *Pool { return &Pool{inner: inner} }
 
 // StratifierKind selects the stratification rule.
@@ -281,8 +281,9 @@ const (
 // strata-shaping options, so it can be cached and shared: every sampler
 // built over the same (pool, options) via NewSamplerStratified reads its
 // one stratum layout (an int32 permutation of the pool in stratum order,
-// its inverse and K+1 offsets) in place instead of re-running the
-// O(N log N) stratify. Treat it as read-only.
+// its inverse and K+1 offsets) in place instead of stratifying again (a
+// linear pass for CSF, a sort for equal-size strata). Treat it as
+// read-only.
 type Stratification struct {
 	s *strata.Strata
 }
@@ -302,7 +303,8 @@ func (st *Stratification) Internal() *strata.Strata { return st.s }
 
 // Stratify computes the stratification NewSampler builds internally for
 // (p, opts): CSF or equal-size per opts.Stratifier with the same option
-// defaulting, validating the pool on the way.
+// defaulting. It does not re-validate the pool: NewPool validated it, and so
+// did whatever built a pool handed to WrapPool.
 func Stratify(p *Pool, opts Options) (*Stratification, error) {
 	opts = opts.WithDefaults()
 	var (
@@ -332,8 +334,9 @@ func NewSampler(p *Pool, opts Options) (*Sampler, error) {
 }
 
 // NewSamplerStratified is NewSampler over a precomputed stratification: the
-// O(N log N) stratify is skipped, and so is the O(N) validation re-scan (the
-// stratification's own construction validated the pool). st must come from
+// stratify is skipped, and nothing re-validates the pool (it was validated
+// where it entered the program: NewPool, the code that built a pool handed
+// to WrapPool, or the session layer's pool store). st must come from
 // Stratify over this same pool with these same strata options — a mismatched
 // stratification silently corrupts every estimate. The sampler produced is
 // bit-identical to what NewSampler would build: the stratification is
